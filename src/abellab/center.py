@@ -86,9 +86,14 @@ def _flow_coefficients(p_slots, q_slots, a, K: int):
     c = {1: one}
     u2 = {}
     for k in range(2, K + 1):
+        # sum_{i+j=k} c_i c_j is symmetric: twice the terms with i < j,
+        # plus the square c_{k/2}^2 when k is even
         acc2 = []
-        for i in range(1, k):
+        for i in range(1, (k + 1) // 2):
             acc2 = _pp_add(acc2, _pp_mul(c[i], c[k - i]))
+        acc2 = [poly.scale(2) for poly in acc2]
+        if k % 2 == 0:
+            acc2 = _pp_add(acc2, _pp_mul(c[k // 2], c[k // 2]))
         u2[k] = acc2
         acc3 = []
         for i in range(1, k - 1):

@@ -28,8 +28,8 @@ from .center import (
 )
 from .decomp import cc_check, is_definite, structure_report
 from .errors import AbelLabError, PreconditionError
-from .field import Scalar
-from .moments import moment, parametric_structure_report, zero_space
+from .field import Scalar, _squarefree
+from .moments import _moments_upto, parametric_structure_report, zero_space
 from .serialize import (
     InputError,
     dumps,
@@ -77,8 +77,10 @@ def _context_D(obj: dict):
     D = obj.get("D")
     if D is None:
         return None
-    if not isinstance(D, int):
+    if not isinstance(D, int) or isinstance(D, bool):
         raise InputError("field 'D' must be an integer")
+    if D <= 1 or not _squarefree(D):
+        raise InputError("field 'D' must be a squarefree integer > 1, got %d" % D)
     return D
 
 
@@ -171,8 +173,8 @@ def cmd_moments(args) -> int:
     obj = _load(args.input)
     P, Q, iv = _pair_from(obj)
     n = args.nmax
-    m_pq = {str(i): scalar_to_text(moment(P, Q, iv, i)) for i in range(n + 1)}
-    m_qp = {str(i): scalar_to_text(moment(Q, P, iv, i)) for i in range(n + 1)}
+    m_pq = {str(i): scalar_to_text(v) for i, v in enumerate(_moments_upto(P, Q.derivative(), iv, n))}
+    m_qp = {str(i): scalar_to_text(v) for i, v in enumerate(_moments_upto(Q, P.derivative(), iv, n))}
     payload = {"m_PQ": m_pq, "m_QP": m_qp, "N": n}
     lines = ["moments up to %d" % n]
     lines += ["  m_%d(P,Q) = %s" % (i, m_pq[str(i)]) for i in range(n + 1)]

@@ -8,19 +8,18 @@ constants mix freely with extension elements.  Combining two scalars with
 two *different* explicit ``D`` values raises :class:`FieldMismatchError`;
 towers of extensions are out of scope.
 
-Rationals are gmpy2 ``mpq`` values when gmpy2 is available (the normal
-case) and ``fractions.Fraction`` otherwise; both keep fractions reduced
-with positive denominator, so equality is plain component comparison.
+Rationals are ``fractions.Fraction`` values, which stay reduced with a
+positive denominator, so equality is plain component comparison.
+Polynomial arithmetic does not go through this class: ``abellab.poly``
+works on integer numerators and builds scalars only where they are read.
 """
 
 from __future__ import annotations
 
 import re
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as _Q
+from fractions import Fraction as _Q
+from functools import lru_cache
+from math import isqrt
 
 from .errors import FieldMismatchError, ZeroDivisorError
 
@@ -31,18 +30,41 @@ _ONE_Q = _Q(1)
 def _as_rational(x):
     if isinstance(x, int):
         return _Q(x)
-    return _Q(x.numerator, x.denominator)
+    if isinstance(x, _Q):
+        return x
+    raise TypeError("cannot use a %s as an exact scalar" % type(x).__name__)
 
 
+@lru_cache
 def _squarefree(d: int) -> bool:
+    """Is d free of square factors?
+
+    Trial division only while f^3 <= d, dividing each factor found out of
+    d: what is left has every prime factor above the cube root, so at most
+    two of them, and it has a square factor exactly when it is a square.
+    """
     if d % 4 == 0:
         return False
+    if d % 2 == 0:
+        d //= 2
     f = 3
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
+    while f * f * f <= d:
+        if d % f == 0:
+            d //= f
+            if d % f == 0:
+                return False
         f += 2
-    return True
+    r = isqrt(d)
+    return d == 1 or r * r != d
+
+
+def _join(da, db):
+    """The common radicand of two fields given by their D (None for Q)."""
+    if da is None:
+        return db
+    if db is None or da == db:
+        return da
+    raise FieldMismatchError("field mismatch: sqrt(%s) vs sqrt(%s)" % (da, db))
 
 
 class Scalar:
@@ -55,8 +77,8 @@ class Scalar:
     __slots__ = ("rat", "irr", "D")
 
     def __init__(self, rat=0, irr=0, D=None):
-        rat = _as_rational(rat) if not isinstance(rat, type(_ZERO_Q)) else rat
-        irr = _as_rational(irr) if not isinstance(irr, type(_ZERO_Q)) else irr
+        rat = _as_rational(rat) if not isinstance(rat, _Q) else rat
+        irr = _as_rational(irr) if not isinstance(irr, _Q) else irr
         if irr:
             if D is None:
                 raise ValueError("irrational part requires an explicit D")
@@ -72,19 +94,9 @@ class Scalar:
         self.irr = irr
         self.D = D
 
-    # -- context handling --------------------------------------------------
-
-    def _join(self, other: "Scalar"):
-        da, db = self.D, other.D
-        if da is None:
-            return db
-        if db is None or da == db:
-            return da
-        raise FieldMismatchError("field mismatch: sqrt(%s) vs sqrt(%s)" % (da, db))
-
     @staticmethod
     def coerce(x) -> "Scalar":
-        """Lift ints, Fractions, or mpq values into a Scalar."""
+        """Lift an int or a Fraction into a Scalar; other types raise TypeError."""
         if isinstance(x, Scalar):
             return x
         return Scalar(_as_rational(x), 0, None)
@@ -93,20 +105,20 @@ class Scalar:
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
-            if isinstance(other, (int, type(_ZERO_Q))):
+            if isinstance(other, (int, _Q)):
                 return Scalar(self.rat + other, self.irr, self.D)
             return NotImplemented
-        D = self._join(other)
+        D = _join(self.D, other.D)
         return Scalar(self.rat + other.rat, self.irr + other.irr, D)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
-            if isinstance(other, (int, type(_ZERO_Q))):
+            if isinstance(other, (int, _Q)):
                 return Scalar(self.rat - other, self.irr, self.D)
             return NotImplemented
-        D = self._join(other)
+        D = _join(self.D, other.D)
         return Scalar(self.rat - other.rat, self.irr - other.irr, D)
 
     def __rsub__(self, other):
@@ -117,10 +129,10 @@ class Scalar:
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
-            if isinstance(other, (int, type(_ZERO_Q))):
+            if isinstance(other, (int, _Q)):
                 return Scalar(self.rat * other, self.irr * other, self.D)
             return NotImplemented
-        D = self._join(other)
+        D = _join(self.D, other.D)
         a, b, c, e = self.rat, self.irr, other.rat, other.irr
         if not b and not e:
             return Scalar(a * c, _ZERO_Q, D)
@@ -130,12 +142,12 @@ class Scalar:
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
-            if isinstance(other, (int, type(_ZERO_Q))):
+            if isinstance(other, (int, _Q)):
                 if not other:
                     raise ZeroDivisorError("zero divisor")
                 return Scalar(self.rat / other, self.irr / other, self.D)
             return NotImplemented
-        D = self._join(other)
+        D = _join(self.D, other.D)
         c, e = other.rat, other.irr
         if not c and not e:
             raise ZeroDivisorError("zero divisor")
@@ -178,11 +190,11 @@ class Scalar:
         return not self.irr
 
     def __eq__(self, other):
-        if isinstance(other, (int, type(_ZERO_Q))):
+        if isinstance(other, (int, _Q)):
             return not self.irr and self.rat == other
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._join(other)
+        _join(self.D, other.D)
         return self.rat == other.rat and self.irr == other.irr
 
     def __hash__(self):

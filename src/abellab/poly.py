@@ -1,35 +1,152 @@
 """Dense univariate polynomials over the exact scalar field.
 
-Coefficients are stored ascending by power with no trailing zeros; the
-zero polynomial is the empty list and its degree is reported as ``None``
-(a distinct marker, never -1, so degree arithmetic cannot silently work
-on it).  Everything is immutable and exact: evaluation is Horner's rule,
-primitives divide by exact integers, and composition/division stay in
-the field.
+A polynomial is stored as integers over one common denominator:
+
+* ``num`` -- the numerators of the rational parts, ascending by power;
+* ``irr`` -- the numerators of the sqrt(D) parts, the same length as
+  ``num``, or empty for a rational polynomial;
+* ``den`` -- the positive common denominator;
+* ``D``   -- the squarefree radicand, or None for a rational polynomial.
+
+Coefficient i is (num[i] + irr[i]*sqrt(D)) / den.  The form is canonical:
+no trailing zero coefficient, gcd(den, num..., irr...) = 1, and ``irr``
+empty exactly when every coefficient is rational.  The zero polynomial has
+empty tuples; its degree is reported as ``None`` (a distinct marker, never
+-1, so degree arithmetic cannot silently work on it).  Equality and hashing
+compare the canonical integers.  ``coeffs``, the tuple of :class:`Scalar`
+coefficients, is built on first use and cached.
+
+Products use Kronecker substitution: each numerator vector is packed into
+one signed big integer at a stride wide enough for every coefficient of the
+result, the two integers are multiplied once (CPython multiplies large
+integers by Karatsuba), and the signed digits are read back.  Over Q(sqrt D)
+a product takes three such multiplications, AC, BE and (A+B)(C+E).  Sums,
+scaling, derivatives, primitives, evaluation and composition also work on
+the integers; of the arithmetic, only division goes through Scalars.
+Everything is immutable and exact.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConstantFactorError, PreconditionError
-from .field import ONE, ZERO, Scalar
+from .field import ZERO, Scalar, _join
 
 
-def _coerce_list(coeffs):
-    out = [Scalar.coerce(c) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
+def _split(c: Scalar):
+    """(p, t, q) with c = (p + t*sqrt(D)) / q and q > 0."""
+    r, e = c.rat, c.irr
+    if not e:
+        return r.numerator, 0, r.denominator
+    q = lcm(r.denominator, e.denominator)
+    return r.numerator * (q // r.denominator), e.numerator * (q // e.denominator), q
+
+
+def _kmul(a, b):
+    """The integer product of two coefficient vectors, by one big-int multiply.
+
+    Each vector is packed as sum (c_i + h) 2^(s i) - sum h 2^(s i) with
+    h = 2^(s-1), i.e. offset binary in s-bit slots, where s bounds every
+    coefficient of the product with room for its sign.  Adding the offset
+    back to the product makes every slot a nonnegative digit below 2^s, so
+    the result is read off the bytes with no carries.
+    """
+    bound = max(max(map(abs, a)), 1) * max(max(map(abs, b)), 1) * min(len(a), len(b))
+    w = bound.bit_length() // 8 + 1  # slot width in bytes, 8w > bit length
+    half = 1 << (8 * w - 1)
+    offset = half.to_bytes(w, "little")
+    fb = int.from_bytes
+    A = fb(b"".join([(c + half).to_bytes(w, "little") for c in a]), "little")
+    B = fb(b"".join([(c + half).to_bytes(w, "little") for c in b]), "little")
+    A -= fb(offset * len(a), "little")
+    B -= fb(offset * len(b), "little")
+    n = len(a) + len(b) - 1
+    data = (A * B + fb(offset * n, "little")).to_bytes(w * n, "little")
+    return [fb(data[i : i + w], "little") - half for i in range(0, w * n, w)]
+
+
+def _mul_parts(a, b, c, e, D):
+    """(A + B sqrt D)(C + E sqrt D) on numerator vectors; an empty sqrt(D)
+    part means a rational factor.  Both parts of a factor share a length."""
+    if not b and not e:
+        return _kmul(a, c), ()
+    if not b:
+        return _kmul(a, c), _kmul(a, e)
+    if not e:
+        return _kmul(a, c), _kmul(b, c)
+    ac = _kmul(a, c)
+    be = _kmul(b, e)
+    mid = _kmul([x + y for x, y in zip(a, b)], [x + y for x, y in zip(c, e)])
+    return [x + D * y for x, y in zip(ac, be)], [m - x - y for m, x, y in zip(mid, ac, be)]
+
+
+def _horner(num, irr, p, t, q, D):
+    """(r, s, q^(n-1)) with f(x) = (r + s sqrt D) / (den q^(n-1)) at
+    x = (p + t sqrt D) / q, for f of length n >= 1 over den.
+
+    Homogeneous Horner: r + s sqrt D = sum_i f_i p^i q^(n-1-i), all in
+    integers."""
+    n = len(num)
+    tD = t * D if t else 0
+    irr = irr or (0,) * n
+    r, s, qk = num[-1], irr[-1], 1
+    for i in range(n - 2, -1, -1):
+        qk *= q
+        r, s = r * p + s * tD + num[i] * qk, r * t + s * p + irr[i] * qk
+    return r, s, qk
+
+
+def _raw(num, irr, den, D) -> "Poly":
+    """A Poly from parts already in canonical form."""
+    f = object.__new__(Poly)
+    f.num, f.irr, f.den, f.D, f._coeffs = num, irr, den, D, None
+    return f
+
+
+def _poly(num, irr, den, D) -> "Poly":
+    """A canonical Poly from integer numerator lists over ``den`` > 0:
+    trims trailing zeros, drops an all-zero sqrt(D) part and divides out
+    the common gcd."""
+    n = len(num)
+    if irr:
+        while n and not num[n - 1] and not irr[n - 1]:
+            n -= 1
+        irr = irr[:n]
+        if not any(irr):
+            irr = ()
+    else:
+        while n and not num[n - 1]:
+            n -= 1
+    if not irr:
+        D = None
+    if not n:
+        return _P_ZERO
+    num = num[:n]
+    g = gcd(den, *num, *irr)
+    if g != 1:
+        num = [x // g for x in num]
+        irr = [x // g for x in irr]
+        den //= g
+    return _raw(tuple(num), tuple(irr), den, D)
 
 
 class Poly:
     """Dense univariate polynomial; index = power."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "irr", "den", "D", "_coeffs")
 
     def __init__(self, coeffs=()):
-        self.coeffs = tuple(_coerce_list(coeffs))
+        cs = [Scalar.coerce(c) for c in coeffs]
+        D = None
+        for c in cs:
+            D = _join(D, c.D)
+        den = lcm(1, *(c.rat.denominator for c in cs), *(c.irr.denominator for c in cs))
+        num = [c.rat.numerator * (den // c.rat.denominator) for c in cs]
+        irr = [c.irr.numerator * (den // c.irr.denominator) for c in cs] if D else ()
+        f = _poly(num, irr, den, D)
+        self.num, self.irr, self.den, self.D, self._coeffs = f.num, f.irr, f.den, f.D, None
 
     # -- basics ---------------------------------------------------------------
 
@@ -54,74 +171,108 @@ class Poly:
         return Poly([0] * power + [c])
 
     @property
+    def coeffs(self):
+        """The coefficients as Scalars, ascending by power (built once)."""
+        cs = self._coeffs
+        if cs is None:
+            den, D = self.den, self.D
+            if self.irr:
+                cs = tuple(
+                    Scalar(Fraction(x, den), Fraction(y, den), D) for x, y in zip(self.num, self.irr)
+                )
+            else:
+                cs = tuple(Scalar(Fraction(x, den)) for x in self.num)
+            self._coeffs = cs
+        return cs
+
+    @property
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     def __getitem__(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        return self.coeffs[i] if 0 <= i < len(self.num) else ZERO
 
     def leading(self) -> Scalar:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        _join(self.D, other.D)
+        return self.num == other.num and self.irr == other.irr and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.irr, self.den, self.D))
 
     # -- ring operations --------------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign*other over the least common denominator."""
+        D = _join(self.D, other.D)
+        if not other.num:
+            return self
+        if not self.num:
+            return other if sign > 0 else -other
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        n = max(len(self.num), len(other.num))
+        num = [x * ma for x in self.num] + [0] * (n - len(self.num))
+        for i, y in enumerate(other.num):
+            num[i] += y * mb
+        irr = ()
+        if D is not None:
+            irr = [x * ma for x in self.irr] + [0] * (n - len(self.irr))
+            for i, y in enumerate(other.irr):
+                irr[i] += y * mb
+        return _poly(num, irr, da * ma, D)
+
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _raw(tuple(-x for x in self.num), tuple(-x for x in self.irr), self.den, self.D)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
+            if not self.num or not other.num:
                 return _P_ZERO
-            out = [ZERO] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = out[i + j] + ca * cb
-            return Poly(out)
+            D = _join(self.D, other.D)
+            num, irr = _mul_parts(self.num, self.irr, other.num, other.irr, D)
+            return _poly(num, irr, self.den * other.den, D)
         return self.scale(other)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         c = Scalar.coerce(c)
-        if not c:
+        if not c or not self.num:
             return _P_ZERO
-        return Poly([a * c for a in self.coeffs])
+        D = _join(self.D, c.D)
+        p, t, q = _split(c)
+        a, b = self.num, self.irr
+        if not t:
+            return _poly([x * p for x in a], [y * p for y in b], self.den * q, D)
+        b = b or (0,) * len(a)
+        tD = t * D
+        num = [x * p + y * tD for x, y in zip(a, b)]
+        irr = [x * t + y * p for x, y in zip(a, b)]
+        return _poly(num, irr, self.den * q, D)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -137,41 +288,73 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x^k."""
-        if not self.coeffs:
+        if not self.num:
             return _P_ZERO
-        return Poly([ZERO] * k + list(self.coeffs))
+        pad = (0,) * k
+        return _raw(pad + self.num, pad + self.irr if self.irr else (), self.den, self.D)
 
     # -- calculus -----------------------------------------------------------------
 
     def eval(self, x) -> Scalar:
         x = Scalar.coerce(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.num:
+            return ZERO
+        D = _join(self.D, x.D)
+        r, s, qk = _horner(self.num, self.irr, *_split(x), D)
+        den = self.den * qk
+        return Scalar(Fraction(r, den), Fraction(s, den), D)
 
     def __call__(self, x) -> Scalar:
         return self.eval(x)
 
     def derivative(self) -> "Poly":
-        return Poly([c * i for i, c in enumerate(self.coeffs) if i >= 1])
+        num = [x * i for i, x in enumerate(self.num)][1:]
+        irr = [y * i for i, y in enumerate(self.irr)][1:]
+        return _poly(num, irr, self.den, self.D)
 
     def primitive(self, a) -> "Poly":
-        """The antiderivative F with F' = self and F(a) = 0."""
-        out = [ZERO] + [c / (i + 1) for i, c in enumerate(self.coeffs)]
-        F = Poly(out)
-        c0 = F.eval(a)
-        if not c0:
-            return F
-        out[0] = -c0
-        return Poly(out)
+        """The antiderivative F with F' = self and F(a) = 0.
+
+        Over den * lcm(1..n+1) every coefficient c_i/(i+1) is an integer
+        numerator; the constant term is then -F(a), put over the
+        denominator of the homogeneous Horner value."""
+        n = len(self.num)
+        if not n:
+            return _P_ZERO
+        a = Scalar.coerce(a)
+        D = _join(self.D, a.D)
+        L = lcm(*range(1, n + 1))
+        num = [0] + [x * (L // (i + 1)) for i, x in enumerate(self.num)]
+        irr = [0] + [y * (L // (i + 1)) for i, y in enumerate(self.irr)] if self.irr else []
+        den = self.den * L
+        r, s, qk = _horner(num, irr, *_split(a), D)
+        if s and not irr:
+            irr = [0] * (n + 1)
+        num = [x * qk for x in num]
+        irr = [y * qk for y in irr]
+        num[0] = -r
+        if irr:
+            irr[0] = -s
+        return _poly(num, irr, den * qk, D)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), by Horner over polynomials."""
-        acc = _P_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
-        return acc
+        """self(inner(x)), by homogeneous Horner over the integer parts:
+        with inner = g / e, self(inner) * e^(n-1) = sum_i f_i g^i e^(n-1-i)."""
+        n = len(self.num)
+        if n <= 1 or not inner.num:
+            return _poly(list(self.num[:1]), list(self.irr[:1]), self.den, self.D)
+        D = _join(self.D, inner.D)
+        num, irr = self.num, self.irr
+        g, h, e = inner.num, inner.irr, inner.den
+        acc, acc_irr = [num[-1]], [irr[-1]] if irr else ()
+        ek = 1
+        for i in range(n - 2, -1, -1):
+            ek *= e
+            acc, acc_irr = _mul_parts(acc, acc_irr, g, h, D)
+            acc[0] += num[i] * ek
+            if irr:
+                acc_irr[0] += irr[i] * ek
+        return _poly(acc, acc_irr, self.den * ek, D)
 
     def divmod(self, divisor: "Poly"):
         """Quotient and remainder over the field; divisor must be nonzero."""
@@ -194,7 +377,7 @@ class Poly:
         return Poly(quot), Poly(rem)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -209,15 +392,12 @@ class Poly:
         return " + ".join(parts)
 
     def __repr__(self):
-        return "Poly[%s]" % (self.degree if self.coeffs else "zero")
+        return "Poly[%s]" % (self.degree if self.num else "zero")
 
 
-_P_ZERO = Poly.__new__(Poly)
-object.__setattr__(_P_ZERO, "coeffs", ())
-_P_ONE = Poly.__new__(Poly)
-object.__setattr__(_P_ONE, "coeffs", (ONE,))
-_P_X = Poly.__new__(Poly)
-object.__setattr__(_P_X, "coeffs", (ZERO, ONE))
+_P_ZERO = _raw((), (), 1, None)
+_P_ONE = _raw((1,), (), 1, None)
+_P_X = _raw((0, 1), (), 1, None)
 
 
 class Interval:

@@ -1,6 +1,9 @@
 import json
 
 from abellab.cli import main
+from abellab.moments import moment
+from abellab.poly import Interval
+from abellab.serialize import poly_from_json, scalar_to_text
 
 
 def write(tmp_path, name, obj):
@@ -229,3 +232,38 @@ def test_text_mode_output(tmp_path, capsys):
 def test_missing_input_file(capsys):
     assert main(["factors", "--input", "/nonexistent/x.json"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_boolean_D_is_rejected(tmp_path, capsys):
+    for flag in (True, False):
+        obj = {"D": flag, "P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}
+        path = write(tmp_path, "p.json", obj)
+        assert main(["definite", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "'D'" in err
+
+
+def test_D_must_be_a_squarefree_integer_above_one(tmp_path, capsys):
+    for D in (-3, 0, 1, 4, 12, 18):
+        obj = {"D": D, "P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}
+        path = write(tmp_path, "p.json", obj)
+        assert main(["definite", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "squarefree" in err
+    obj = {"D": 3, "P": {"coeffs": ["-3/4", "0", "1"]}, "interval": {"a": "-1/2*r3", "b": "1/2*r3"}}
+    assert main(["definite", "--input", write(tmp_path, "p.json", obj)]) == 0
+
+
+def test_moments_match_one_moment_at_a_time(tmp_path, capsys):
+    obj = {
+        "P": {"coeffs": ["0", "-1", "1/2", "1"]},
+        "Q": {"coeffs": ["-2/3", "1/3", "0", "0", "1"]},
+        "interval": {"a": "-1", "b": "1"},
+    }
+    path = write(tmp_path, "pair.json", obj)
+    assert main(["moments", "--input", path, "--nmax", "6", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    P, Q = poly_from_json(obj["P"]), poly_from_json(obj["Q"])
+    iv = Interval(-1, 1)
+    assert out["m_PQ"] == {str(i): scalar_to_text(moment(P, Q, iv, i)) for i in range(7)}
+    assert out["m_QP"] == {str(i): scalar_to_text(moment(Q, P, iv, i)) for i in range(7)}

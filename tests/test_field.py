@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,6 +8,7 @@ from abellab.field import (
     ONE,
     ZERO,
     Scalar,
+    _squarefree,
     format_scalar,
     parse_scalar,
     rational,
@@ -55,6 +58,22 @@ def test_d_validation():
         Scalar(0, 1, 12)
     with pytest.raises(ValueError):
         Scalar(0, 1, None)
+
+
+def test_coerce_rejects_floats():
+    with pytest.raises(TypeError, match="float"):
+        Scalar.coerce(0.5)
+    with pytest.raises(TypeError, match="float"):
+        rational(1) + Scalar.coerce(1.0)
+
+
+def test_squarefree_matches_trial_division():
+    def brute(d):
+        return all(d % (f * f) for f in range(2, isqrt(d) + 1))
+
+    assert [d for d in range(1, 3000) if _squarefree(d) != brute(d)] == []
+    assert _squarefree(1000003) and not _squarefree(1000003 * 49)
+    assert not _squarefree(999983**2) and _squarefree(999983 * 1000003)
 
 
 def test_text_grammar_round_trip():
