@@ -65,6 +65,7 @@ from .trig import (
     PiScalar,
     TrigPoly,
     build_family,
+    first_moments_vanish,
     frequency_support,
     modify_family,
     non_cc_certificate,

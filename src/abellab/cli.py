@@ -12,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from . import verify as verify_mod
 from .center import (
     BACKWARD,
     DELTA_ON_P,
@@ -41,23 +39,18 @@ from .serialize import (
     trig_from_json,
     trig_to_json,
 )
-from .trig import build_family, modify_family, non_cc_certificate, trig_moment
+from .trig import (
+    build_family,
+    first_moments_vanish,
+    modify_family,
+    non_cc_certificate,
+    trig_moment,
+)
 
-
-def _threads_from_env() -> int:
-    """Parallelism bound from ABEL_LAB_THREADS (0 = auto).
-
-    Execution is currently sequential, which honors any bound; the value
-    is still validated so misconfiguration fails fast.
-    """
-    raw = os.environ.get("ABEL_LAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError("ABEL_LAB_THREADS must be a nonnegative integer") from None
-    if n < 0:
-        raise InputError("ABEL_LAB_THREADS must be a nonnegative integer")
-    return n
+# The names of verify.SUITES, kept here so that only `verify` imports the suites.
+SUITE_NAMES = (
+    "all", "cc", "columns", "factors", "melnikov", "series", "stratify", "trig", "ur", "zspace"
+)
 
 
 def _load(path: str) -> dict:
@@ -338,10 +331,7 @@ def cmd_trig_family(args) -> int:
         R = poly_from_json(obj["R"], D)
         Q = modify_family(Q, d2, R)
     imax = args.imax if args.imax is not None else 12
-    fam_ok = all(
-        not trig_moment(P, Q, i, 1) and not trig_moment(Q, P, i, 1)
-        for i in range(imax + 1)
-    )
+    fam_ok = first_moments_vanish(P, Q, imax)
     cert = non_cc_certificate(P, Q, imax, imax)
     payload = {
         "P": trig_to_json(P),
@@ -367,8 +357,9 @@ def _scalar(text, D):
 
 
 def cmd_verify(args) -> int:
-    _threads_from_env()
-    results = verify_mod.run_suite(args.suite, seed=args.seed)
+    from .verify import run_suite
+
+    results = run_suite(args.suite, seed=args.seed)
     payload = {"suite": args.suite, "seed": args.seed, "criteria": []}
     ok = True
     for res in results:
@@ -392,47 +383,50 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+# Options of the subcommands that read them, besides --input and --json.
+_FLAGS = {
+    "kmax": {"type": int, "default": 12},
+    "nmax": {"type": int, "default": 20},
+    "imax": {"type": int, "default": None},
+    "degree": {"type": int, "default": None},
+    "param": {"choices": ["eps", "delta"], "default": "eps"},
+    "direction": {"choices": [FORWARD, BACKWARD], "default": FORWARD},
+    "suite": {"choices": SUITE_NAMES, "default": "all"},
+    "seed": {"type": int, "default": 7},
+}
+
+_COMMANDS = [
+    ("center-table", cmd_center_table, ("kmax", "param", "direction")),
+    ("iterated", cmd_iterated, ()),
+    ("melnikov", cmd_melnikov, ()),
+    ("moments", cmd_moments, ("nmax",)),
+    ("zspace", cmd_zspace, ("degree", "imax")),
+    ("factors", cmd_factors, ()),
+    ("cc", cmd_cc, ()),
+    ("definite", cmd_definite, ()),
+    ("report", cmd_report, ("kmax", "nmax")),
+    ("trig-moment", cmd_trig_moment, ()),
+    ("trig-family", cmd_trig_family, ("imax",)),
+    ("verify", cmd_verify, ("suite", "seed")),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="abellab",
         description="Exact computations for parametric centers of the Abel equation.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, input_required=True):
-        if input_required:
+    for name, fn, flags in _COMMANDS:
+        if name == "verify":
+            p = sub.add_parser(name, help="run the bundled acceptance suites")
+        else:
+            p = sub.add_parser(name)
             p.add_argument("--input", required=True, help="path to a JSON input file")
-        p.add_argument("--kmax", type=int, default=12)
-        p.add_argument("--imax", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=20)
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--param", choices=["eps", "delta"], default="eps")
-        p.add_argument("--direction", choices=[FORWARD, BACKWARD], default=FORWARD)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-        p.add_argument("--seed", type=int, default=0)
-
-    for name, fn in [
-        ("center-table", cmd_center_table),
-        ("iterated", cmd_iterated),
-        ("melnikov", cmd_melnikov),
-        ("moments", cmd_moments),
-        ("zspace", cmd_zspace),
-        ("factors", cmd_factors),
-        ("cc", cmd_cc),
-        ("definite", cmd_definite),
-        ("report", cmd_report),
-        ("trig-moment", cmd_trig_moment),
-        ("trig-family", cmd_trig_family),
-    ]:
-        p = sub.add_parser(name)
-        common(p)
         p.set_defaults(fn=fn)
-
-    pv = sub.add_parser("verify", help="run the bundled acceptance suites")
-    pv.add_argument("--suite", default="all", choices=sorted(verify_mod.SUITES))
-    pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--json", action="store_true")
-    pv.set_defaults(fn=cmd_verify)
     return ap
 
 
@@ -440,7 +434,6 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        _threads_from_env()
         return args.fn(args)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)

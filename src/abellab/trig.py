@@ -1,39 +1,49 @@
 """Exact real trigonometric polynomials and their moment integrals.
 
-A :class:`TrigPoly` is a finite Fourier table: a constant term plus exact
-cosine and sine coefficients per positive frequency.  Products reduce by
-the product-to-sum identities, so the ring stays exact, and every
-integral over [0, 2*pi] is the constant term times 2*pi — returned as an
-exact multiple of pi (:class:`PiScalar`), never a float.
+A :class:`TrigPoly` f = a0 + sum_k (c_k cos kt + s_k sin kt) is kept in
+exponential form: with z = e^(it) and N the top frequency present,
+z^N f = sum_{m=0..2N} (R_m + i I_m) z^m for two :class:`Poly` R, I over
+Q(sqrt D) with R_N = a0, R_(N+-k) = c_k/2, I_(N-+k) = +-s_k/2.  (N, R, I)
+is canonical; equality compares it.  A product is four Kronecker Poly
+products, R1 R2 - I1 I2 and R1 I2 + I1 R2, then N drops to the top
+frequency left.  ``a0``, ``cos_coeffs`` and ``sin_coeffs`` are read-only
+views built on first use.  An integral over [0, 2*pi] is 2*pi R_N, an
+exact multiple of pi (:class:`PiScalar`), never a float; a moment
+int Q^i d(P^j) reads only that coefficient of the product, a dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 from .errors import PreconditionError
-from .field import ZERO, Scalar
-from .poly import Poly
-
-
-def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
+from .field import ZERO, Scalar, _join
+from .poly import Poly, _raw
 
 
 class TrigPoly:
     """a0 + sum_k (cos_coeffs[k] cos(k t) + sin_coeffs[k] sin(k t))."""
 
-    __slots__ = ("a0", "cos_coeffs", "sin_coeffs")
+    __slots__ = ("N", "R", "I", "_views")
 
     def __init__(self, a0=0, cos_coeffs=None, sin_coeffs=None):
-        self.a0 = Scalar.coerce(a0)
         cc = {int(k): Scalar.coerce(v) for k, v in (cos_coeffs or {}).items()}
         ss = {int(k): Scalar.coerce(v) for k, v in (sin_coeffs or {}).items()}
         if any(k < 1 for k in cc) or any(k < 1 for k in ss):
             raise ValueError("frequencies must be positive integers")
-        self.cos_coeffs = _clean(cc)
-        self.sin_coeffs = _clean(ss)
+        N = max([k for k, v in cc.items() if v] + [k for k, v in ss.items() if v], default=0)
+        R, I = [ZERO] * (2 * N + 1), [ZERO] * (2 * N + 1)
+        R[N] = Scalar.coerce(a0)
+        for k, v in cc.items():
+            if v:
+                R[N + k] = R[N - k] = v / 2
+        for k, v in ss.items():
+            if v:
+                I[N - k], I[N + k] = v / 2, -v / 2
+        self.N, self.R, self.I, self._views = N, Poly(R), Poly(I), None
 
     # -- constructors ---------------------------------------------------------
 
@@ -47,20 +57,28 @@ class TrigPoly:
 
     @staticmethod
     def cos(k: int, c=1) -> "TrigPoly":
-        if k == 0:
-            return TrigPoly(a0=c)
-        return TrigPoly(cos_coeffs={k: c})
+        return TrigPoly(a0=c) if k == 0 else TrigPoly(cos_coeffs={k: c})
 
     @staticmethod
     def sin(k: int, c=1) -> "TrigPoly":
-        if k == 0:
-            return TrigPoly()
-        return TrigPoly(sin_coeffs={k: c})
+        return TrigPoly() if k == 0 else TrigPoly(sin_coeffs={k: c})
+
+    def _tables(self):
+        if self._views is None:
+            N, R, I = self.N, self.R, self.I
+            cc = {k: R[N + k] * 2 for k in range(1, N + 1) if R[N + k]}
+            ss = {k: I[N + k] * -2 for k in range(1, N + 1) if I[N + k]}
+            self._views = (R[N], MappingProxyType(cc), MappingProxyType(ss))
+        return self._views
+
+    a0 = property(lambda self: self._tables()[0], doc="The constant term.")
+    cos_coeffs = property(lambda self: self._tables()[1], doc="Frequency -> cosine coefficient.")
+    sin_coeffs = property(lambda self: self._tables()[2], doc="Frequency -> sine coefficient.")
 
     # -- ring structure ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.a0) or bool(self.cos_coeffs) or bool(self.sin_coeffs)
+        return bool(self.R) or bool(self.I)
 
     def is_zero(self) -> bool:
         return not self
@@ -68,44 +86,23 @@ class TrigPoly:
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return (
-            self.a0 == other.a0
-            and self.cos_coeffs == other.cos_coeffs
-            and self.sin_coeffs == other.sin_coeffs
-        )
+        return self.N == other.N and self.R == other.R and self.I == other.I
 
     def __add__(self, other):
         if not isinstance(other, TrigPoly):
             other = TrigPoly.constant(other)
-        cc = dict(self.cos_coeffs)
-        for k, v in other.cos_coeffs.items():
-            cc[k] = cc.get(k, ZERO) + v
-        ss = dict(self.sin_coeffs)
-        for k, v in other.sin_coeffs.items():
-            ss[k] = ss.get(k, ZERO) + v
-        return TrigPoly(self.a0 + other.a0, cc, ss)
-
-    def __neg__(self):
-        return TrigPoly(
-            -self.a0,
-            {k: -v for k, v in self.cos_coeffs.items()},
-            {k: -v for k, v in self.sin_coeffs.items()},
-        )
+        N = max(self.N, other.N)
+        a, b = N - self.N, N - other.N
+        return _trig(N, self.R.shift(a) + other.R.shift(b), self.I.shift(a) + other.I.shift(b))
 
     def __sub__(self, other):
-        if not isinstance(other, TrigPoly):
-            other = TrigPoly.constant(other)
         return self + (-other)
 
+    def __neg__(self):
+        return _trig(self.N, -self.R, -self.I)
+
     def scale(self, c) -> "TrigPoly":
-        c = Scalar.coerce(c)
-        if not c:
-            return TrigPoly()
-        return TrigPoly(
-            self.a0 * c,
-            {k: v * c for k, v in self.cos_coeffs.items()},
-            {k: v * c for k, v in self.sin_coeffs.items()},
-        )
+        return _trig(self.N, self.R.scale(c), self.I.scale(c))
 
     def __mul__(self, other):
         if not isinstance(other, TrigPoly):
@@ -117,79 +114,57 @@ class TrigPoly:
     def __pow__(self, n: int) -> "TrigPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = TrigPoly.constant(1)
-        for _ in range(n):
-            result = result * self
+        result, base = _ONE, self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     def frequency_support(self):
-        """Frequencies with a nonzero cosine or sine coefficient
-        (the constant term is tracked separately)."""
+        """Frequencies k >= 1 with a nonzero cosine or sine coefficient."""
         return set(self.cos_coeffs) | set(self.sin_coeffs)
 
     def __repr__(self):
         return "TrigPoly(a0=%s, support=%s)" % (self.a0, sorted(self.frequency_support()))
 
 
+def _trig(N: int, R: Poly, I: Poly) -> TrigPoly:
+    """The TrigPoly z^-N (R + iI) in canonical form: N lowered to the top
+    frequency present (the entries dropped below it are zero by symmetry)."""
+    cut = N - max(max(len(R.num), len(I.num)) - 1 - N, 0)
+    if cut:
+        R, I = (_raw(p.num[cut:], p.irr[cut:], p.den, p.D) if p else p for p in (R, I))
+    f = object.__new__(TrigPoly)
+    f.N, f.R, f.I, f._views = N - cut, R, I, None
+    return f
+
+
+def _coeff(f: Poly, g: Poly, n: int) -> Scalar:
+    """Coefficient n of the product f g, as one dot product."""
+    D = _join(f.D, g.D)
+    ms = range(max(0, n - len(g.num) + 1), min(len(f.num), n + 1))
+
+    def dot(u, v):
+        return sum(u[m] * v[n - m] for m in ms) if u and v else 0
+
+    r = dot(f.num, g.num) + (D * dot(f.irr, g.irr) if f.irr and g.irr else 0)
+    s, den = dot(f.irr, g.num) + dot(f.num, g.irr), f.den * g.den
+    return Scalar(Fraction(r, den), Fraction(s, den), D)
+
+
 def trig_mul(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """Exact product via frequency convolution of the product-to-sum rules."""
-    a0 = f.a0 * g.a0
-    cc: dict = {}
-    ss: dict = {}
-
-    def add_cos(k, v):
-        nonlocal a0
-        if k < 0:
-            k = -k
-        if k == 0:
-            a0 = a0 + v
-        elif v:
-            cc[k] = cc.get(k, ZERO) + v
-
-    def add_sin(k, v):
-        if k < 0:
-            k, v = -k, -v
-        if k != 0 and v:
-            ss[k] = ss.get(k, ZERO) + v
-
-    if f.a0:
-        for k, v in g.cos_coeffs.items():
-            add_cos(k, f.a0 * v)
-        for k, v in g.sin_coeffs.items():
-            add_sin(k, f.a0 * v)
-    if g.a0:
-        for k, v in f.cos_coeffs.items():
-            add_cos(k, g.a0 * v)
-        for k, v in f.sin_coeffs.items():
-            add_sin(k, g.a0 * v)
-
-    half = Scalar.coerce(1) / Scalar.coerce(2)
-    for m, u in f.cos_coeffs.items():
-        for n, v in g.cos_coeffs.items():
-            w = u * v * half
-            add_cos(m - n, w)
-            add_cos(m + n, w)
-        for n, v in g.sin_coeffs.items():
-            w = u * v * half
-            add_sin(m + n, w)
-            add_sin(n - m, w)
-    for m, u in f.sin_coeffs.items():
-        for n, v in g.cos_coeffs.items():
-            w = u * v * half
-            add_sin(m + n, w)
-            add_sin(m - n, w)
-        for n, v in g.sin_coeffs.items():
-            w = u * v * half
-            add_cos(m - n, w)
-            add_cos(m + n, -w)
-    return TrigPoly(a0, cc, ss)
+    """Exact product (R1 + iI1)(R2 + iI2), by four Kronecker Poly products."""
+    R = f.R * g.R - f.I * g.I
+    return _trig(f.N + g.N, R, f.R * g.I + f.I * g.R)
 
 
 def trig_diff(f: TrigPoly) -> TrigPoly:
-    """Termwise derivative in the angle."""
-    cc = {k: v * Scalar.coerce(k) for k, v in f.sin_coeffs.items()}
-    ss = {k: v * Scalar.coerce(-k) for k, v in f.cos_coeffs.items()}
-    return TrigPoly(0, cc, ss)
+    """Termwise derivative in the angle: i (m - N) (R_m + i I_m) at z^m."""
+    dR, dI = (p.derivative().shift(1) - p.scale(f.N) for p in (f.R, f.I))
+    return _trig(f.N, -dI, dR)
 
 
 @dataclass(frozen=True)
@@ -219,14 +194,20 @@ class PiScalar:
 
 def trig_integral(f: TrigPoly) -> PiScalar:
     """Exact integral over one full period: 2*pi times the constant term."""
-    return PiScalar(f.a0 * Scalar.coerce(2))
+    return PiScalar(f.R[f.N] * 2)
+
+
+def _integral_of_product(f: TrigPoly, g: TrigPoly) -> PiScalar:
+    """trig_integral(f * g) from the one coefficient of the product it reads."""
+    n = f.N + g.N
+    return PiScalar((_coeff(f.R, g.R, n) - _coeff(f.I, g.I, n)) * 2)
 
 
 def trig_moment(P: TrigPoly, Q: TrigPoly, i: int, j: int) -> PiScalar:
     """Exact int_0^{2pi} Q^i d(P^j)."""
     if i < 0 or j < 0:
         raise PreconditionError("i and j must be nonnegative")
-    return trig_integral((Q**i) * trig_diff(P**j))
+    return _integral_of_product(Q**i, trig_diff(P**j))
 
 
 def build_family(d1: int, d2: int, p_spec: dict, q_spec: dict):
@@ -242,13 +223,9 @@ def build_family(d1: int, d2: int, p_spec: dict, q_spec: dict):
         raise PreconditionError("frequencies not coprime")
 
     def build(spec, d, excluded_by, name):
-        cc = {}
-        ss = {}
-        for k, pair in spec.items():
-            k = int(k)
-            ak, bk = pair
-            ak = Scalar.coerce(ak)
-            bk = Scalar.coerce(bk)
+        cc, ss = {}, {}
+        for k, (ak, bk) in spec.items():
+            k, ak, bk = int(k), Scalar.coerce(ak), Scalar.coerce(bk)
             if (ak or bk) and k % excluded_by == 0:
                 raise PreconditionError(
                     "%s index %d violates the divisibility exclusion" % (name, k)
@@ -259,9 +236,7 @@ def build_family(d1: int, d2: int, p_spec: dict, q_spec: dict):
                 ss[k * d] = bk
         return TrigPoly(0, cc, ss)
 
-    P = build(p_spec, d1, d2, "P")
-    Q = build(q_spec, d2, d1, "Q")
-    return P, Q
+    return build(p_spec, d1, d2, "P"), build(q_spec, d2, d1, "Q")
 
 
 def modify_family(Q: TrigPoly, d2: int, R: Poly) -> TrigPoly:
@@ -273,6 +248,28 @@ def modify_family(Q: TrigPoly, d2: int, R: Poly) -> TrigPoly:
     return Q + acc
 
 
+def _ladder(f: TrigPoly):
+    """power(k) = f^k, each power built once, from the one before it."""
+    pows = [_ONE]
+
+    def power(k):
+        while len(pows) <= k:
+            pows.append(pows[-1] * f)
+        return pows[k]
+
+    return power
+
+
+def first_moments_vanish(P: TrigPoly, Q: TrigPoly, i_max: int) -> bool:
+    """Do int Q^i dP and int P^i dQ both vanish for every 0 <= i <= i_max?"""
+    dP, dQ = trig_diff(P), trig_diff(Q)
+    Pi, Qi = _ladder(P), _ladder(Q)
+    return not any(
+        _integral_of_product(Qi(i), dP) or _integral_of_product(Pi(i), dQ)
+        for i in range(i_max + 1)
+    )
+
+
 def non_cc_certificate(P: TrigPoly, Q: TrigPoly, i_max: int, j_max: int):
     """First (i, j) in the (i+j, i) order with a nonzero mixed moment.
 
@@ -281,16 +278,19 @@ def non_cc_certificate(P: TrigPoly, Q: TrigPoly, i_max: int, j_max: int):
     """
     if i_max < 1 or j_max < 1:
         raise PreconditionError("i_max and j_max must be at least 1")
-    cells = sorted(
-        ((i, j) for i in range(1, i_max + 1) for j in range(1, j_max + 1)),
-        key=lambda ij: (ij[0] + ij[1], ij[0]),
-    )
-    for i, j in cells:
-        val = trig_moment(P, Q, i, j)
-        if val:
-            return (i, j, val)
+    Qi, Pj, dPj = _ladder(Q), _ladder(P), {}
+    for s in range(2, i_max + j_max + 1):
+        for i, j in ((i, s - i) for i in range(max(1, s - j_max), min(i_max, s - 1) + 1)):
+            if j not in dPj:
+                dPj[j] = trig_diff(Pj(j))
+            val = _integral_of_product(Qi(i), dPj[j])
+            if val:
+                return (i, j, val)
     return None
 
 
 def frequency_support(f: TrigPoly):
     return f.frequency_support()
+
+
+_ONE = TrigPoly(1)

@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
 
-from abellab.cli import main
+import pytest
+
+from abellab import verify
+from abellab.cli import SUITE_NAMES, build_parser, main
 from abellab.moments import moment
 from abellab.poly import Interval
 from abellab.serialize import poly_from_json, scalar_to_text
@@ -193,15 +198,6 @@ def test_determinism(tmp_path, capsys):
     assert first == second
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ABEL_LAB_THREADS", "banana")
-    obj = {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}
-    path = write(tmp_path, "p.json", obj)
-    assert main(["definite", "--input", path]) == 2
-    monkeypatch.setenv("ABEL_LAB_THREADS", "2")
-    assert main(["definite", "--input", path]) == 0
-
-
 def test_verify_suite_trig(capsys):
     assert main(["verify", "--suite", "trig", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -267,3 +263,53 @@ def test_moments_match_one_moment_at_a_time(tmp_path, capsys):
     iv = Interval(-1, 1)
     assert out["m_PQ"] == {str(i): scalar_to_text(moment(P, Q, iv, i)) for i in range(7)}
     assert out["m_QP"] == {str(i): scalar_to_text(moment(Q, P, iv, i)) for i in range(7)}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads(tmp_path):
+    ap = build_parser()
+    own = {
+        "center-table": ["--kmax", "3", "--param", "delta", "--direction", "backward"],
+        "moments": ["--nmax", "3"],
+        "zspace": ["--degree", "4", "--imax", "5"],
+        "report": ["--kmax", "3", "--nmax", "4"],
+        "trig-family": ["--imax", "6"],
+    }
+    plain = ["iterated", "melnikov", "factors", "cc", "definite", "trig-moment"]
+    for name in plain + sorted(own):
+        args = ap.parse_args([name, "--input", "x.json", "--json"] + own.get(name, []))
+        assert args.json and args.input == "x.json"
+    args = ap.parse_args(["verify", "--suite", "trig", "--seed", "3", "--json"])
+    assert (args.suite, args.seed, args.json) == ("trig", 3, True)
+    assert ap.parse_args(["verify"]).seed == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factors", "--input", "x.json", "--kmax", "3"],
+        ["cc", "--input", "x.json", "--seed", "1"],
+        ["moments", "--input", "x.json", "--degree", "3"],
+        ["trig-family", "--input", "x.json", "--nmax", "3"],
+        ["verify", "--input", "x.json"],
+    ],
+)
+def test_stray_flag_is_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_suite_names_match_the_suites(capsys):
+    assert sorted(SUITE_NAMES) == sorted(verify.SUITES)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+
+
+def test_importing_the_cli_does_not_import_the_suites():
+    code = "import sys, abellab.cli; print('abellab.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
