@@ -5,8 +5,8 @@ Everything is computed over Q or a single real quadratic extension
 Q(sqrt(D)); there is no floating point in the core.
 """
 
-from .field import Scalar, ZERO, ONE, sqrtD, rational, scalar_arith, parse_scalar, format_scalar
-from .linalg import Matrix, kernel_basis, rank, solve, span_rref
+from .field import Scalar, ZERO, ONE, sqrtD, rational, parse_scalar, format_scalar
+from .linalg import kernel_basis, rank, solve, span_rref
 from .poly import (
     Interval,
     PCPair,
@@ -15,9 +15,6 @@ from .poly import (
     definite_integral,
     exponent_condition,
     in_subring,
-    poly_compose,
-    poly_eval,
-    primitive,
 )
 from .decomp import (
     FactorSet,
@@ -66,7 +63,6 @@ from .trig import (
     TrigPoly,
     build_family,
     first_moments_vanish,
-    frequency_support,
     modify_family,
     non_cc_certificate,
     trig_diff,

@@ -166,8 +166,8 @@ def cmd_moments(args) -> int:
     obj = _load(args.input)
     P, Q, iv = _pair_from(obj)
     n = args.nmax
-    m_pq = {str(i): scalar_to_text(v) for i, v in enumerate(_moments_upto(P, Q.derivative(), iv, n))}
-    m_qp = {str(i): scalar_to_text(v) for i, v in enumerate(_moments_upto(Q, P.derivative(), iv, n))}
+    m_pq = {str(i): scalar_to_text(v) for i, (v,) in enumerate(_moments_upto(P, [Q.derivative()], iv, n))}
+    m_qp = {str(i): scalar_to_text(v) for i, (v,) in enumerate(_moments_upto(Q, [P.derivative()], iv, n))}
     payload = {"m_PQ": m_pq, "m_QP": m_qp, "N": n}
     lines = ["moments up to %d" % n]
     lines += ["  m_%d(P,Q) = %s" % (i, m_pq[str(i)]) for i in range(n + 1)]

@@ -247,21 +247,6 @@ def sqrtD(D: int) -> Scalar:
     return Scalar(0, 1, D)
 
 
-def scalar_arith(op: str, x: Scalar, y: Scalar) -> Scalar:
-    """Named dispatch over the five field operations ({add,sub,mul,div,neg})."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "neg":
-        return -x
-    raise ValueError("unknown op %r" % op)
-
-
 # -- the whitespace-free text grammar -----------------------------------------
 #
 #   "a/b"                plain rational (the "/b" may be omitted when b = 1)

@@ -2,7 +2,9 @@
 
 Everything here is plain Gaussian elimination with field divisions and
 first-nonzero pivoting: deterministic, exact, and fast enough for the
-matrix sizes this package ever builds (tens of rows/columns).
+matrix sizes this package ever builds (tens of rows/columns).  A matrix is
+a plain list of rows (ints and Fractions are lifted to Scalars); where a
+row list can be empty, the column count is passed alongside it.
 """
 
 from __future__ import annotations
@@ -10,64 +12,9 @@ from __future__ import annotations
 from .field import ONE, ZERO, Scalar
 
 
-class Matrix:
-    """Immutable row-major matrix of Scalars."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = [Scalar.coerce(e) for e in entries]
-        if len(entries) != rows * cols:
-            raise ValueError(
-                "entry count %d does not match %dx%d" % (len(entries), rows, cols)
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @staticmethod
-    def from_rows(rows) -> "Matrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        flat = [e for r in rows for e in r]
-        return Matrix(n, m, flat)
-
-    def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def mul_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = ZERO
-            for x, y in zip(self.row(i), v):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.rows, self.cols)
+def _check_width(rows, ncols: int):
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("every row must have %d entries" % ncols)
 
 
 def rref(rows):
@@ -76,7 +23,7 @@ def rref(rows):
     Pivot choice is the first nonzero entry of the first unfinished row,
     which makes every downstream basis deterministic.
     """
-    rows = [list(r) for r in rows]
+    rows = [[Scalar.coerce(e) for e in r] for r in rows]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -107,46 +54,61 @@ def rref(rows):
     return rows, pivots
 
 
-def rank(M: Matrix) -> int:
-    return len(rref(M.to_rows())[1])
+def rank(rows) -> int:
+    return len(rref(rows)[1])
 
 
-def kernel_basis(M: Matrix):
-    """Exact basis of the right null space {v : M v = 0}.
+def reduce_row(echelon, pivots, row):
+    """``row`` minus its components along a reduced echelon form: zero
+    exactly when the row lies in the echelon rows' span."""
+    for e, pc in zip(echelon, pivots):
+        f = row[pc]
+        if f:
+            row = [a - f * b for a, b in zip(row, e)]
+    return row
 
-    Basis vectors come from the reduced echelon form: one per free column,
-    with a 1 in the free slot and the negated pivot-column entries above.
-    dim(kernel) = cols - rank.
-    """
-    rows, pivots = rref(M.to_rows())
-    free = [c for c in range(M.cols) if c not in pivots]
+
+def echelon_kernel(echelon, pivots, ncols: int):
+    """Kernel basis read off a reduced echelon form with ``ncols`` columns:
+    one vector per free column, with a 1 in the free slot and the negated
+    pivot-column entries above."""
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
-        v = [ZERO] * M.cols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        v = [ZERO] * ncols
         v[f] = ONE
         for r, pc in enumerate(pivots):
-            if rows[r][f]:
-                v[pc] = -rows[r][f]
+            if echelon[r][f]:
+                v[pc] = -echelon[r][f]
         basis.append(v)
     return basis
 
 
-def solve(M: Matrix, b):
+def kernel_basis(rows, ncols: int):
+    """Exact basis of the right null space {v : M v = 0} of the rows.
+
+    dim(kernel) = ncols - rank.
+    """
+    _check_width(rows, ncols)
+    return echelon_kernel(*rref(rows), ncols)
+
+
+def solve(rows, b, ncols: int):
     """One exact solution of M x = b, or None when inconsistent.
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    if len(b) != M.rows:
+    _check_width(rows, ncols)
+    if len(b) != len(rows):
         raise ValueError("dimension mismatch")
-    aug = [M.row(i) + [b[i]] for i in range(M.rows)]
-    rows, pivots = rref(aug)
-    n = M.cols
-    for row, pc in zip(rows, pivots):
-        if pc == n:  # pivot in the augmented column: 0 = 1
-            return None
-    x = [ZERO] * n
-    for row, pc in zip(rows, pivots):
-        x[pc] = row[n]
+    echelon, pivots = rref([list(r) + [bi] for r, bi in zip(rows, b)])
+    if ncols in pivots:  # pivot in the augmented column: 0 = 1
+        return None
+    x = [ZERO] * ncols
+    for row, pc in zip(echelon, pivots):
+        x[pc] = row[ncols]
     return x
 
 

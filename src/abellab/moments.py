@@ -16,7 +16,7 @@ from .center import EPS_ON_Q, FORWARD, parametric_table
 from .decomp import cc_check, indecomposable_factors, is_definite
 from .errors import KernelNotStabilizedError, PreconditionError
 from .field import Scalar
-from .linalg import Matrix, kernel_basis, span_rref
+from .linalg import echelon_kernel, rank, reduce_row, rref, span_rref
 from .poly import Interval, PCPair, Poly, definite_integral
 
 
@@ -27,26 +27,26 @@ def moment(P: Poly, Q: Poly, iv: Interval, i: int) -> Scalar:
     return definite_integral((P**i) * Q.derivative(), iv)
 
 
-def _moments_upto(P: Poly, q: Poly, iv: Interval, n: int):
-    """[int P^i q for i = 0..n], sharing the power ladder."""
-    out = []
+def _moments_upto(P: Poly, qs, iv: Interval, n: int):
+    """Rows [int P^i q for q in qs] for i = 0..n, sharing one power ladder."""
+    if n < 0:
+        raise PreconditionError("moment bound must be nonnegative, got %d" % n)
+    rows = []
     power = Poly.one()
     for i in range(n + 1):
-        out.append(definite_integral(power * q, iv))
+        rows.append([definite_integral(power * q, iv) for q in qs])
         if i < n:
             power = power * P
-    return out
+    return rows
+
+
+def _all_vanish(P: Poly, q: Poly, iv: Interval, n: int) -> bool:
+    return not any(row[0] for row in _moments_upto(P, [q], iv, n))
 
 
 def double_moments_vanish(P: Poly, Q: Poly, iv: Interval, N: int) -> bool:
     """Do int P^i Q' and int Q^j P' vanish for all i, j <= N?"""
-    if N < 0:
-        raise PreconditionError("N must be nonnegative")
-    q = Q.derivative()
-    p = P.derivative()
-    return all(not v for v in _moments_upto(P, q, iv, N)) and all(
-        not v for v in _moments_upto(Q, p, iv, N)
-    )
+    return _all_vanish(P, Q.derivative(), iv, N) and _all_vanish(Q, P.derivative(), iv, N)
 
 
 def pspace_basis(iv: Interval, d: int):
@@ -67,33 +67,39 @@ class MomentMatrix:
     iv: Interval
     d: int
     I_max: int
-    M: Matrix
+    M: list
     basis: tuple
 
 
 def moment_matrix(P: Poly, iv: Interval, d: int, I_max: int) -> MomentMatrix:
     basis = pspace_basis(iv, d)
-    derivs = [B.derivative() for B in basis]
-    rows = []
-    power = Poly.one()
-    for i in range(I_max + 1):
-        rows.append([definite_integral(power * dq, iv) for dq in derivs])
-        if i < I_max:
-            power = power * P
-    M = Matrix.from_rows(rows) if rows else Matrix(0, len(basis), [])
+    M = _moments_upto(P, [B.derivative() for B in basis], iv, I_max)
     return MomentMatrix(P=P, iv=iv, d=d, I_max=I_max, M=M, basis=tuple(basis))
 
 
-def _kernel_polys(mm: MomentMatrix):
-    vecs = kernel_basis(mm.M)
-    polys = []
-    for v in vecs:
-        acc = Poly.zero()
-        for c, B in zip(v, mm.basis):
-            if c:
-                acc = acc + B.scale(c)
-        polys.append(acc)
-    return polys
+def _stable_kernel(rows, ncols: int, I_max: int):
+    """Kernel basis of the first I_max + 1 rows, certified by the rest.
+
+    The first rows are eliminated once and every later (probe) row is
+    reduced against that echelon form; the kernel is stable exactly when
+    no probe row adds rank.  Otherwise a KernelNotStabilizedError reports
+    both dimensions.
+    """
+    echelon, pivots = rref(rows[: I_max + 1])
+    residues = [reduce_row(echelon, pivots, row) for row in rows[I_max + 1 :]]
+    residues = [r for r in residues if any(r)]
+    if residues:
+        dim = ncols - len(pivots)
+        raise KernelNotStabilizedError(dim, dim - rank(residues), I_max)
+    return echelon_kernel(echelon, pivots, ncols)
+
+
+def _combination(coeffs, polys) -> Poly:
+    acc = Poly.zero()
+    for c, f in zip(coeffs, polys):
+        if c:
+            acc = acc + f.scale(c)
+    return acc
 
 
 def _canonical_span(polys, d: int):
@@ -111,23 +117,13 @@ def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
+    if I_max < 0:
+        raise PreconditionError("I_max must be nonnegative")
     if P.eval(iv.a) or P.eval(iv.b):
         raise PreconditionError("P must vanish at both endpoints")
-    mm_probe = moment_matrix(P, iv, d, I_max + 5)
-    rows = mm_probe.M.to_rows()
-    mm_cut = MomentMatrix(
-        P=P,
-        iv=iv,
-        d=d,
-        I_max=I_max,
-        M=Matrix.from_rows(rows[: I_max + 1]),
-        basis=mm_probe.basis,
-    )
-    cut = _kernel_polys(mm_cut)
-    probe = _kernel_polys(mm_probe)
-    if len(cut) != len(probe):
-        raise KernelNotStabilizedError(len(cut), len(probe), I_max)
-    return _canonical_span(probe, d)
+    mm = moment_matrix(P, iv, d, I_max + 5)
+    kernel = _stable_kernel(mm.M, len(mm.basis), I_max)
+    return _canonical_span([_combination(v, mm.basis) for v in kernel], d)
 
 
 def composition_sum_space(P: Poly, iv: Interval, d: int):
@@ -171,8 +167,7 @@ def chebyshev_zero_space_dim(d: int) -> int:
 def in_zero_space_of(base: Poly, candidate: Poly, iv: Interval, I_max: int) -> bool:
     """Truncated certificate that candidate lies in the zero space of base:
     int base^i candidate' = 0 for all i <= I_max."""
-    dc = candidate.derivative()
-    return all(not v for v in _moments_upto(base, dc, iv, I_max))
+    return _all_vanish(base, candidate.derivative(), iv, I_max)
 
 
 @dataclass(frozen=True)

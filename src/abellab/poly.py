@@ -445,18 +445,6 @@ class PCPair:
         return "PCPair(deg P=%s, deg Q=%s)" % (self.P.degree, self.Q.degree)
 
 
-def poly_eval(f: Poly, x) -> Scalar:
-    return f.eval(x)
-
-
-def poly_compose(f: Poly, g: Poly) -> Poly:
-    return f.compose(g)
-
-
-def primitive(f: Poly, a) -> Poly:
-    return f.primitive(a)
-
-
 def definite_integral(f: Poly, iv: Interval) -> Scalar:
     """Exact integral of f over [a, b]."""
     F = f.primitive(iv.a)

@@ -289,8 +289,4 @@ def non_cc_certificate(P: TrigPoly, Q: TrigPoly, i_max: int, j_max: int):
     return None
 
 
-def frequency_support(f: TrigPoly):
-    return f.frequency_support()
-
-
 _ONE = TrigPoly(1)

@@ -23,10 +23,13 @@ from .center import (
     tabulated_coefficient,
 )
 from .decomp import cc_check, indecomposable_factors, is_definite, structure_report
-from .errors import NotClosedError
+from .errors import KernelNotStabilizedError, NotClosedError
 from .field import ONE, ZERO, Scalar, rational, sqrtD
-from .linalg import Matrix, kernel_basis, solve
+from .linalg import kernel_basis, solve
 from .moments import (
+    _combination,
+    _moments_upto,
+    _stable_kernel,
     chebyshev_zero_space_dim,
     moment,
     parametric_structure_report,
@@ -362,7 +365,7 @@ def a4_melnikov(seed: int):
     if not clean7:
         findings.append("nonzero residuals in the (7,2)/D7 fit: no single constant works")
     if not clean9:
-        refit = solve(Matrix.from_rows(shape_rows), [e9 for _, _, e9, _ in samples])
+        refit = solve(shape_rows, [e9 for _, _, e9, _ in samples], 3)
         findings.append(
             "nonzero residuals in the (9,2)/D8 fit: the printed 320/185 weights "
             "do not reproduce the table stratum by a constant factor"
@@ -615,10 +618,10 @@ def _fit_certificate_cubic():
         )
         P, Q = _family_pair(rational(a), rational(b), rational(c))
         rhs.append(trig_moment(P, Q, 3, 2).coeff)
-    M = Matrix.from_rows(rows)
-    if kernel_basis(M):
+    ncols = len(_CUBIC_MONOMIALS)
+    if kernel_basis(rows, ncols):
         return None
-    sol = solve(M, rhs)
+    sol = solve(rows, rhs, ncols)
     if sol is None:
         return None
     return {m: c for m, c in zip(_CUBIC_MONOMIALS, sol) if c}
@@ -772,36 +775,20 @@ def a10_prime_support(seed: int) -> CriterionResult:
             continue
         # basis of endpoint-vanishing polynomials supported on {0,1,2,4,8}
         exps = [0, 1, 2, 4, 8]
-        endpoint = Matrix.from_rows(
-            [[iv.a**e for e in exps], [iv.b**e for e in exps]]
-        )
-        qvecs = kernel_basis(endpoint)
-        qbasis = []
-        for v in qvecs:
-            f = Poly.zero()
-            for c, e in zip(v, exps):
-                if c:
-                    f = f + Poly.monomial(e).scale(c)
-            qbasis.append(f)
+        endpoint = [[iv.a**e for e in exps], [iv.b**e for e in exps]]
+        monomials = [Poly.monomial(e) for e in exps]
+        qbasis = [_combination(v, monomials) for v in kernel_basis(endpoint, len(exps))]
         # moment system restricted to that basis, with stabilization margin
         I_max = 24
-        rows = []
-        power = Poly.one()
-        derivs = [f.derivative() for f in qbasis]
-        for i in range(I_max + 6):
-            rows.append([(power * dq).primitive(iv.a).eval(iv.b) for dq in derivs])
-            power = power * P
-        cut = kernel_basis(Matrix.from_rows(rows[: I_max + 1]))
-        full = kernel_basis(Matrix.from_rows(rows))
-        if len(cut) != len(full):
+        rows = _moments_upto(P, [f.derivative() for f in qbasis], iv, I_max + 5)
+        try:
+            full = _stable_kernel(rows, len(qbasis), I_max)
+        except KernelNotStabilizedError:
             bad.append("sample %d: moment kernel not stabilized" % idx)
             continue
         kernel_sizes.append(len(full))
         for v in full:
-            Q = Poly.zero()
-            for c, f in zip(v, qbasis):
-                if c:
-                    Q = Q + f.scale(c)
+            Q = _combination(v, qbasis)
             if not exponent_condition(Q, {2}, "U1"):
                 bad.append("sample %d: kernel element leaves the allowed support" % idx)
                 continue

@@ -97,6 +97,28 @@ def test_zspace_not_stabilized_is_exit_1(tmp_path, capsys):
     assert "kernel not stabilized" in capsys.readouterr().err
 
 
+def test_zspace_negative_imax_is_an_input_error(tmp_path, capsys):
+    obj = {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}
+    path = write(tmp_path, "p.json", obj)
+    code = main(["zspace", "--input", path, "--degree", "4", "--imax", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_moments_negative_nmax_is_an_input_error(tmp_path, capsys):
+    obj = {
+        "P": {"coeffs": ["-1", "0", "1"]},
+        "Q": {"coeffs": ["0", "-1", "0", "1"]},
+        "interval": {"a": "-1", "b": "1"},
+    }
+    path = write(tmp_path, "pair.json", obj)
+    code = main(["moments", "--input", path, "--nmax", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error:")
+    assert captured.out == ""
+
+
 def test_moments_roundtrip(tmp_path, capsys):
     obj = {
         "P": {"coeffs": ["-1", "0", "1"]},

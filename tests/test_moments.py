@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abellab.errors import KernelNotStabilizedError
+from abellab.errors import KernelNotStabilizedError, PreconditionError
 from abellab.field import ZERO, rational, sqrtD
-from abellab.linalg import span_rref
+from abellab.linalg import kernel_basis, span_rref
+from abellab.poly import definite_integral
 from abellab.moments import (
     chebyshev_zero_space_dim,
     composition_sum_space,
@@ -93,9 +95,20 @@ def test_kernel_stabilization_error():
         zero_space(P(-1, 0, 1), IV11, 4, 0)
 
 
+def test_negative_moment_bound_is_rejected():
+    with pytest.raises(PreconditionError):
+        zero_space(P(-1, 0, 1), IV11, 4, -1)
+    with pytest.raises(PreconditionError):
+        in_zero_space_of(P(-1, 0, 1), P(0, -1, 0, 1), IV11, -1)
+    with pytest.raises(PreconditionError):
+        double_moments_vanish(P(-1, 0, 1), P(0, -1, 0, 1), IV11, -1)
+    with pytest.raises(PreconditionError):
+        moment_matrix(P(-1, 0, 1), IV11, 4, -1)
+
+
 def test_moment_matrix_shape():
     mm = moment_matrix(P(-1, 0, 1), IV11, 4, 8)
-    assert mm.M.rows == 9 and mm.M.cols == 3
+    assert len(mm.M) == 9 and all(len(row) == 3 for row in mm.M)
     assert len(pspace_basis(IV11, 4)) == 3
 
 
@@ -175,3 +188,101 @@ def test_structure_report_chebyshev_pair():
     assert rep.Q_definite
     assert rep.P_in_Z_of_Q and rep.Q_in_Z_of_P
     assert rep.consistent
+
+
+# -- the two-elimination zero space, kept as the reference ------------------------
+
+
+def ref_zero_space(Pb, iv, d, I_max):
+    """Zero space as it was computed before the single elimination: the
+    kernels of the cut and of the probe moment matrix, each eliminated in
+    full, compared by dimension."""
+    basis = pspace_basis(iv, d)
+    derivs = [B.derivative() for B in basis]
+    rows = []
+    power = Poly.one()
+    for _ in range(I_max + 6):
+        rows.append([definite_integral(power * dq, iv) for dq in derivs])
+        power = power * Pb
+
+    def kernel_polys(vecs):
+        out = []
+        for v in vecs:
+            acc = Poly.zero()
+            for c, B in zip(v, basis):
+                acc = acc + B.scale(c)
+            out.append(acc)
+        return out
+
+    cut = kernel_polys(kernel_basis(rows[: I_max + 1], len(basis)))
+    probe = kernel_polys(kernel_basis(rows, len(basis)))
+    if len(cut) != len(probe):
+        raise KernelNotStabilizedError(len(cut), len(probe), I_max)
+    vectors = span_rref([[f[i] for i in range(d + 1)] for f in probe])
+    return [Poly(r) for r in vectors]
+
+
+R3 = sqrtD(3)
+RATIONAL_INTERVALS = [Interval(-1, 1), Interval(0, 1), Interval(rational(-1, 2), 2)]
+SURD_INTERVALS = [IV3, Interval(0, R3), Interval(1, rational(1) + R3)]
+
+
+def small_polys(surd, min_len, max_len):
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).map(
+        lambda x: rational(x.numerator, x.denominator)
+    )
+    if surd:
+        coeff = st.tuples(coeff, coeff).map(lambda t: t[0] + t[1] * R3)
+    return st.lists(coeff, min_size=min_len, max_size=max_len).map(Poly)
+
+
+@st.composite
+def zero_space_cases(draw, surd):
+    """P vanishing at both endpoints: half composite, S(W) - S(W(a)) with
+    W(a) = W(b) and deg W >= 2, half (x-a)(x-b) R for a random R."""
+    iv = draw(st.sampled_from(SURD_INTERVALS if surd else RATIONAL_INTERVALS))
+    quad = Poly([iv.a * iv.b, -(iv.a + iv.b), 1])
+    if draw(st.booleans()):
+        V = draw(small_polys(surd, 1, 2))
+        W = quad * (V if not V.is_zero() else Poly.one())
+        S = draw(small_polys(surd, 2, 3))
+        if S.degree is None or S.degree < 2:
+            S = S + Poly.monomial(2)
+        Pb = S.compose(W) - Poly.constant(S.eval(W.eval(iv.a)))
+    else:
+        R = draw(small_polys(surd, 1, 4))
+        Pb = quad * (R if not R.is_zero() else Poly.one())
+    d = draw(st.integers(4, 10))
+    I_max = draw(st.integers(0, 2 * d))
+    return Pb, iv, d, I_max
+
+
+def outcome(fn, *args):
+    try:
+        return "basis", fn(*args)
+    except KernelNotStabilizedError as exc:
+        return "not stabilized", (exc.dim_at_imax, exc.dim_at_probe, exc.i_max, str(exc))
+
+
+@pytest.mark.parametrize("surd", [False, True], ids=["Q", "Q(sqrt3)"])
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_single_elimination_matches_two_kernels(surd, data):
+    Pb, iv, d, I_max = data.draw(zero_space_cases(surd))
+    assert outcome(zero_space, Pb, iv, d, I_max) == outcome(ref_zero_space, Pb, iv, d, I_max)
+
+
+def test_single_elimination_matches_two_kernels_on_fixed_cases():
+    cases = [
+        (P(-1, 0, 1), IV11, 4, 0),
+        (P6, IV3, 8, 4),
+        (P6, IV3, 10, 20),
+        (P10, IV11, 10, 3),
+        (P10, IV11, 8, 16),
+    ]
+    kinds = []
+    for case in cases:
+        got = outcome(zero_space, *case)
+        assert got == outcome(ref_zero_space, *case)
+        kinds.append(got[0])
+    assert "basis" in kinds and "not stabilized" in kinds

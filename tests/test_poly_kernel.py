@@ -3,8 +3,9 @@
 The reference below is the dense list-of-Scalar arithmetic the kernel
 replaced: every product is a double loop of Scalar multiply-adds.  It
 lives only here, as a slow path to test the fast one against, over Q and
-over Q(sqrt 3).  The last test is an end-to-end oracle: a pair with a
-common composition factor has an identically zero stratified table.
+over Q(sqrt 3).  One test is an end-to-end oracle: a pair with a common
+composition factor has an identically zero stratified table.  Series
+reversion is checked by composing the two truncated series back to y.
 """
 
 import random
@@ -14,8 +15,16 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abellab.center import BACKWARD, DELTA_ON_P, EPS_ON_Q, FORWARD, parametric_table
-from abellab.field import ZERO, Scalar, sqrtD
+from abellab.center import (
+    BACKWARD,
+    DELTA_ON_P,
+    EPS_ON_Q,
+    FORWARD,
+    _revert,
+    invert_series,
+    parametric_table,
+)
+from abellab.field import ONE, ZERO, Scalar, sqrtD
 from abellab.poly import Interval, Poly
 
 # -- the schoolbook reference ---------------------------------------------------
@@ -232,3 +241,84 @@ def test_composition_pairs_have_zero_tables(case):
     for param in (EPS_ON_Q, DELTA_ON_P):
         for direction in (FORWARD, BACKWARD):
             assert parametric_table(p, q, iv, 8, param, direction).is_zero()
+
+
+# -- division and series reversion ---------------------------------------------------
+
+
+def ref_divmod(a, b):
+    """Schoolbook division of coefficient lists over the field (b nonzero)."""
+    rem = list(a)
+    if len(rem) < len(b):
+        return [], ref_trim(rem)
+    quot = [ZERO] * (len(rem) - len(b) + 1)
+    for i in range(len(rem) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        quot[i - len(b) + 1] = f
+        for j, c in enumerate(b):
+            rem[i - len(b) + 1 + j] = rem[i - len(b) + 1 + j] - f * c
+    return ref_trim(quot), ref_trim(rem)
+
+
+@fields
+@settings(deadline=None)
+@given(data=st.data())
+def test_divmod(surd, data):
+    a = ref_trim(data.draw(coeff_lists(surd)))
+    b = ref_trim(data.draw(coeff_lists(surd, 4).filter(lambda c: any(c))))
+    q, r = Poly(a).divmod(Poly(b))
+    want_q, want_r = ref_divmod(a, b)
+    same(q, want_q)
+    same(r, want_r)
+    assert ref_add(ref_mul(list(q.coeffs), b), list(r.coeffs)) == a
+    assert r.is_zero() or r.degree < len(b) - 1
+
+
+def test_divmod_by_zero_raises():
+    with pytest.raises(ZeroDivisionError):
+        Poly([1, 2]).divmod(Poly.zero())
+
+
+def compose_truncated(ws, vs, zero, one):
+    """Coefficients of y^0..y^K of (y + sum w y^k) o (y + sum v y^k),
+    both lists starting at order 2, by schoolbook truncated products."""
+    K = len(vs) + 1
+    G = [zero, one] + list(vs)
+    F = [zero, one] + list(ws)
+    out = [zero] * (K + 1)
+    power = [one] + [zero] * K  # G^0
+    for k in range(1, K + 1):
+        power = [
+            sum((power[i] * G[n - i] for i in range(n + 1)), zero) for n in range(K + 1)
+        ]
+        out = [o + F[k] * p for o, p in zip(out, power)]
+    return out
+
+
+def identity_series(K, zero, one):
+    return [zero, one] + [zero] * (K - 1)
+
+
+@fields
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_invert_series_composes_back_to_y(surd, data):
+    vs = data.draw(st.lists(scalars(surd), min_size=1, max_size=6))
+    ws = invert_series(vs)
+    assert len(ws) == len(vs)
+    K = len(vs) + 1
+    assert compose_truncated(ws, vs, ZERO, ONE) == identity_series(K, ZERO, ONE)
+    assert compose_truncated(vs, ws, ZERO, ONE) == identity_series(K, ZERO, ONE)
+
+
+@fields
+@settings(deadline=None, max_examples=30)
+@given(data=st.data())
+def test_revert_with_parameter_coefficients_composes_back_to_y(surd, data):
+    vs = data.draw(st.lists(coeff_lists(surd, 3).map(Poly), min_size=1, max_size=5))
+    zero, one = Poly.zero(), Poly.one()
+    ws = _revert(vs, zero, one)
+    assert len(ws) == len(vs)
+    K = len(vs) + 1
+    assert compose_truncated(ws, vs, zero, one) == identity_series(K, zero, one)
+    assert compose_truncated(vs, ws, zero, one) == identity_series(K, zero, one)

@@ -9,7 +9,6 @@ from abellab.trig import (
     PiScalar,
     TrigPoly,
     build_family,
-    frequency_support,
     modify_family,
     non_cc_certificate,
     trig_diff,
@@ -86,10 +85,10 @@ def test_certificate_examples():
 
 def test_frequency_support_examples():
     f = TrigPoly.cos(3) + TrigPoly.sin(6)
-    assert frequency_support(f) == {3, 6}
-    assert frequency_support(TrigPoly.constant(4)) == set()
+    assert f.frequency_support() == {3, 6}
+    assert TrigPoly.constant(4).frequency_support() == set()
     sq = TrigPoly.cos(3) ** 2
-    assert frequency_support(sq) == {6}
+    assert sq.frequency_support() == {6}
     assert sq.a0 == rational(1, 2)
 
 
