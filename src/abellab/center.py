@@ -7,11 +7,12 @@ with c_1 = 1 and, for k >= 2,
     c_k = primitive_a[ p * sum_{i+j+l=k} c_i c_j c_l
                        + q * sum_{i+j=k} c_i c_j ],
 
-so the forward map s -> y(b) has coefficients v_k = c_k(b).  Scaling one
-of the two inputs by a formal parameter and running the same recursion
-with polynomial-in-parameter coefficients yields the stratified table
-v_{k,j}; the backward map is obtained by exact series reversion.  All
-arithmetic is exact.
+so the forward map s -> y(b) has coefficients v_k = c_k(b).  Scaling p
+by a formal parameter and running the same recursion with
+polynomial-in-parameter coefficients yields the stratified table v_{k,j};
+the table for a parameter on q is its re-indexing by weight, and the
+backward map is obtained by exact series reversion.  All arithmetic is
+exact.
 """
 
 from __future__ import annotations
@@ -223,37 +224,36 @@ class CenterTable:
         return not self.entries
 
 
-def _slots_for(param: str, p: Poly, q: Poly):
-    if param == EPS_ON_Q:
-        return [p], [Poly.zero(), q]
-    if param == DELTA_ON_P:
-        return [Poly.zero(), p], [q]
-    raise ValueError("param must be %r or %r" % (EPS_ON_Q, DELTA_ON_P))
-
-
 def parametric_table(
     p: Poly, q: Poly, iv: Interval, K: int, param: str, direction: str = FORWARD
 ) -> CenterTable:
     """The stratified table of (forward or backward) map coefficients.
 
-    The scaled input carries the formal parameter through the recursion;
-    the backward direction applies exact series reversion over the
-    polynomial-in-parameter ring.
+    The recursion runs once, with a formal parameter delta on p; the
+    backward direction applies exact series reversion over the
+    polynomial-in-parameter ring.  Each c_k is weighted homogeneous of
+    weight k-1 when delta weighs 2 and a parameter on q weighs 1, and
+    reversion keeps the weight, so the table with the parameter on q is
+    the same one re-indexed: delta^t at order k is eps^(k-1-2t).
     """
     if K < 2:
         raise PreconditionError("K must be at least 2")
     if direction not in (FORWARD, BACKWARD):
         raise ValueError("direction must be 'forward' or 'backward'")
-    p_slots, q_slots = _slots_for(param, p, q)
-    c = _flow_coefficients(p_slots, q_slots, iv.a, K)
+    if param not in (EPS_ON_Q, DELTA_ON_P):
+        raise ValueError("param must be %r or %r" % (EPS_ON_Q, DELTA_ON_P))
+    c = _flow_coefficients([Poly.zero(), p], [q], iv.a, K)
     per_k = []
     for k in range(2, K + 1):
         per_k.append(Poly([poly.eval(iv.b) for poly in c[k]]))
     if direction == BACKWARD:
         per_k = _revert(per_k, Poly.zero(), Poly.one())
     entries = {}
-    for k, eps_poly in zip(range(2, K + 1), per_k):
-        for j, val in enumerate(eps_poly.coeffs):
+    for k, delta_poly in zip(range(2, K + 1), per_k):
+        strata = list(enumerate(delta_poly.coeffs))
+        if param == EPS_ON_Q:
+            strata = [(k - 1 - 2 * t, val) for t, val in reversed(strata)]
+        for j, val in strata:
             if val:
                 entries[(k, j)] = val
     return CenterTable(K=K, param=param, direction=direction, entries=entries)

@@ -6,6 +6,11 @@ trig-family, and verify (the bundled acceptance suites).  Inputs are
 JSON files using the exact scalar text grammar; output is deterministic
 text or JSON.  Exit codes: 0 success, 1 computational failure, 2
 malformed input.
+
+``main`` is the one place that reads the input, runs the command and
+writes stdout: each ``cmd_*`` takes the parsed arguments and the input
+object and returns ``(exit_code, payload, lines)``, printed as JSON under
+``--json`` and as the text lines otherwise.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .serialize import (
     pi_to_text,
     poly_from_json,
     poly_to_json,
+    scalar_from_text,
     scalar_to_text,
     trig_from_json,
     trig_to_json,
@@ -53,7 +59,12 @@ SUITE_NAMES = (
 )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _load(path: str) -> dict:
+    """The input object, with its optional field 'D' checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -61,124 +72,94 @@ def _load(path: str) -> dict:
         raise InputError("cannot read input file: %s" % exc) from exc
     except json.JSONDecodeError as exc:
         raise InputError("input is not valid JSON: %s" % exc) from exc
+    except RecursionError as exc:
+        raise InputError("input is nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
+    D = obj.get("D")
+    if D is not None:
+        if not _is_int(D):
+            raise InputError("field 'D' must be an integer")
+        if D <= 1 or not _squarefree(D):
+            raise InputError("field 'D' must be a squarefree integer > 1, got %d" % D)
     return obj
 
 
-def _context_D(obj: dict):
+def _fields(obj: dict, *names, parse=poly_from_json) -> list:
+    """The named input fields in order, over Q(sqrt D) for the input's D.
+
+    "interval" is read as an interval and every other name with ``parse``;
+    a missing or falsy value is an input error.
+    """
     D = obj.get("D")
-    if D is None:
+    values = []
+    for name in names:
+        raw = obj.get(name)
+        if not raw:
+            raise InputError("missing field %r" % name)
+        values.append((interval_from_json if name == "interval" else parse)(raw, D))
+    return values
+
+
+def _witness_json(w):
+    if w is None:
         return None
-    if not isinstance(D, int) or isinstance(D, bool):
-        raise InputError("field 'D' must be an integer")
-    if D <= 1 or not _squarefree(D):
-        raise InputError("field 'D' must be a squarefree integer > 1, got %d" % D)
-    return D
-
-
-def _pair_from(obj: dict):
-    D = _context_D(obj)
-    P = poly_from_json(obj.get("P") or _missing("P"), D)
-    Q = poly_from_json(obj.get("Q") or _missing("Q"), D)
-    iv = interval_from_json(obj.get("interval") or _missing("interval"), D)
-    return P, Q, iv
-
-
-def _single_from(obj: dict):
-    D = _context_D(obj)
-    P = poly_from_json(obj.get("P") or _missing("P"), D)
-    iv = interval_from_json(obj.get("interval") or _missing("interval"), D)
-    return P, iv
-
-
-def _missing(name: str):
-    raise InputError("missing field %r" % name)
-
-
-def _emit(args, payload: dict, text_lines):
-    if args.json:
-        print(dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _param(args) -> str:
-    return EPS_ON_Q if args.param == "eps" else DELTA_ON_P
-
-
-def _table_payload(table) -> dict:
     return {
-        "K": table.K,
-        "param": table.param,
-        "direction": table.direction,
-        "entries": {"%d,%d" % kj: scalar_to_text(v) for kj, v in sorted(table.entries.items())},
+        "W": poly_to_json(w.W),
+        "P_reduced": poly_to_json(w.P_reduced),
+        "Q_reduced": poly_to_json(w.Q_reduced),
     }
 
 
-def cmd_center_table(args) -> int:
-    obj = _load(args.input)
-    P, Q, iv = _pair_from(obj)
-    table = parametric_table(
-        P.derivative(), Q.derivative(), iv, args.kmax, _param(args), args.direction
-    )
-    payload = _table_payload(table)
-    order = infinitesimal_order(P.derivative(), Q.derivative(), iv, args.kmax, _param(args))
-    payload["infinitesimal_order"] = order.order if order.order is not None else "all-zero"
+def cmd_center_table(args, obj):
+    P, Q, iv = _fields(obj, "P", "Q", "interval")
+    p, q = P.derivative(), Q.derivative()
+    param = EPS_ON_Q if args.param == "eps" else DELTA_ON_P
+    table = parametric_table(p, q, iv, args.kmax, param, args.direction)
+    order = infinitesimal_order(p, q, iv, args.kmax, param)
+    entries = sorted(table.entries.items())
+    payload = {
+        "K": table.K,
+        "param": table.param,
+        "direction": table.direction,
+        "entries": {"%d,%d" % kj: scalar_to_text(v) for kj, v in entries},
+        "infinitesimal_order": order.order if order.order is not None else "all-zero",
+    }
     lines = ["center table (%s, %s, K=%d)" % (table.param, table.direction, table.K)]
-    for (k, j), v in sorted(table.entries.items()):
-        lines.append("  v[%d,%d] = %s" % (k, j, scalar_to_text(v)))
-    if not table.entries:
+    lines += ["  v[%d,%d] = %s" % (k, j, scalar_to_text(v)) for (k, j), v in entries]
+    if not entries:
         lines.append("  all entries vanish")
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_iterated(args) -> int:
-    obj = _load(args.input)
-    D = _context_D(obj)
+def cmd_iterated(args, obj):
     alpha = obj.get("alpha")
-    if not isinstance(alpha, list) or not alpha or any(x not in (1, 2) for x in alpha):
+    if not (isinstance(alpha, list) and alpha and all(_is_int(x) and x in (1, 2) for x in alpha)):
         raise InputError("field 'alpha' must be a nonempty list over {1,2}")
-    h1 = poly_from_json(obj.get("h1") or _missing("h1"), D)
-    h2 = poly_from_json(obj.get("h2") or _missing("h2"), D)
-    iv = interval_from_json(obj.get("interval") or _missing("interval"), D)
-    val = iterated_integral(alpha, h1, h2, iv)
-    _emit(
-        args,
-        {"alpha": alpha, "value": scalar_to_text(val)},
-        ["I_%s = %s" % ("".join(map(str, alpha)), scalar_to_text(val))],
-    )
-    return 0
+    h1, h2, iv = _fields(obj, "h1", "h2", "interval")
+    val = scalar_to_text(iterated_integral(alpha, h1, h2, iv))
+    return 0, {"alpha": alpha, "value": val}, ["I_%s = %s" % ("".join(map(str, alpha)), val)]
 
 
-def cmd_melnikov(args) -> int:
-    obj = _load(args.input)
-    P, Q, iv = _pair_from(obj)
-    vals = {k: melnikov(k, P, Q, iv) for k in (6, 7, 8)}
-    payload = {"D%d" % k: scalar_to_text(v) for k, v in vals.items()}
-    _emit(args, payload, ["D%d = %s" % (k, scalar_to_text(v)) for k, v in vals.items()])
-    return 0
+def cmd_melnikov(args, obj):
+    P, Q, iv = _fields(obj, "P", "Q", "interval")
+    payload = {"D%d" % k: scalar_to_text(melnikov(k, P, Q, iv)) for k in (6, 7, 8)}
+    return 0, payload, ["%s = %s" % kv for kv in payload.items()]
 
 
-def cmd_moments(args) -> int:
-    obj = _load(args.input)
-    P, Q, iv = _pair_from(obj)
+def cmd_moments(args, obj):
+    P, Q, iv = _fields(obj, "P", "Q", "interval")
     n = args.nmax
     m_pq = {str(i): scalar_to_text(v) for i, (v,) in enumerate(_moments_upto(P, [Q.derivative()], iv, n))}
     m_qp = {str(i): scalar_to_text(v) for i, (v,) in enumerate(_moments_upto(Q, [P.derivative()], iv, n))}
-    payload = {"m_PQ": m_pq, "m_QP": m_qp, "N": n}
     lines = ["moments up to %d" % n]
     lines += ["  m_%d(P,Q) = %s" % (i, m_pq[str(i)]) for i in range(n + 1)]
     lines += ["  m_%d(Q,P) = %s" % (i, m_qp[str(i)]) for i in range(n + 1)]
-    _emit(args, payload, lines)
-    return 0
+    return 0, {"m_PQ": m_pq, "m_QP": m_qp, "N": n}, lines
 
 
-def cmd_zspace(args) -> int:
-    obj = _load(args.input)
-    P, iv = _single_from(obj)
+def cmd_zspace(args, obj):
+    P, iv = _fields(obj, "P", "interval")
     d = args.degree
     if d is None:
         raise InputError("missing required flag --degree")
@@ -192,13 +173,11 @@ def cmd_zspace(args) -> int:
     }
     lines = ["zero space at degree %d: dimension %d" % (d, len(basis))]
     lines += ["  %s" % f for f in basis]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_factors(args) -> int:
-    obj = _load(args.input)
-    P, iv = _single_from(obj)
+def cmd_factors(args, obj):
+    P, iv = _fields(obj, "P", "interval")
     rep = structure_report(P, iv)
     payload = {
         "s": rep.s,
@@ -212,54 +191,35 @@ def cmd_factors(args) -> int:
         % (rep.s, list(rep.factor_degrees), rep.tag)
     ]
     lines += ["  W = %s" % W for W in rep.factors]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_cc(args) -> int:
-    obj = _load(args.input)
-    P, Q, iv = _pair_from(obj)
+def cmd_cc(args, obj):
+    P, Q, iv = _fields(obj, "P", "Q", "interval")
     w = cc_check(P, Q, iv)
     if w is None:
-        _emit(args, {"witness": None}, ["no common composition factor"])
-        return 0
-    payload = {
-        "witness": {
-            "W": poly_to_json(w.W),
-            "P_reduced": poly_to_json(w.P_reduced),
-            "Q_reduced": poly_to_json(w.Q_reduced),
-        }
-    }
-    lines = [
-        "composition witness found:",
-        "  W = %s" % w.W,
-        "  P = Pt(W) with Pt = %s" % w.P_reduced,
-        "  Q = Qt(W) with Qt = %s" % w.Q_reduced,
-    ]
-    _emit(args, payload, lines)
-    return 0
+        lines = ["no common composition factor"]
+    else:
+        lines = [
+            "composition witness found:",
+            "  W = %s" % w.W,
+            "  P = Pt(W) with Pt = %s" % w.P_reduced,
+            "  Q = Qt(W) with Qt = %s" % w.Q_reduced,
+        ]
+    return 0, {"witness": _witness_json(w)}, lines
 
 
-def cmd_definite(args) -> int:
-    obj = _load(args.input)
-    P, iv = _single_from(obj)
+def cmd_definite(args, obj):
+    P, iv = _fields(obj, "P", "interval")
     val = is_definite(P, iv)
-    _emit(args, {"definite": val}, ["definite: %s" % val])
-    return 0
+    return 0, {"definite": val}, ["definite: %s" % val]
 
 
-def cmd_report(args) -> int:
-    obj = _load(args.input)
-    P, Q, iv = _pair_from(obj)
+def cmd_report(args, obj):
+    P, Q, iv = _fields(obj, "P", "Q", "interval")
     rep = parametric_structure_report(P, Q, iv, args.kmax, args.nmax)
     payload = {
-        "cc": None
-        if rep.cc is None
-        else {
-            "W": poly_to_json(rep.cc.W),
-            "P_reduced": poly_to_json(rep.cc.P_reduced),
-            "Q_reduced": poly_to_json(rep.cc.Q_reduced),
-        },
+        "cc": _witness_json(rep.cc),
         "truncated_parametric_center": rep.truncated_parametric_center,
         "double_moments": rep.double_moments,
         "P_definite": rep.P_definite,
@@ -278,34 +238,24 @@ def cmd_report(args) -> int:
         "P in Z(Q): %s / Q in Z(P): %s" % (rep.P_in_Z_of_Q, rep.Q_in_Z_of_P),
         "classification consistent: %s" % rep.consistent,
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_trig_moment(args) -> int:
-    obj = _load(args.input)
-    D = _context_D(obj)
-    P = trig_from_json(obj.get("P") or _missing("P"), D)
-    Q = trig_from_json(obj.get("Q") or _missing("Q"), D)
+def cmd_trig_moment(args, obj):
+    P, Q = _fields(obj, "P", "Q", parse=trig_from_json)
     i = obj.get("i")
     j = obj.get("j")
-    if not isinstance(i, int) or not isinstance(j, int):
+    if not _is_int(i) or not _is_int(j):
         raise InputError("fields 'i' and 'j' must be integers")
-    val = trig_moment(P, Q, i, j)
-    _emit(
-        args,
-        {"i": i, "j": j, "moment": pi_to_text(val)},
-        ["int Q^%d d(P^%d) = %s" % (i, j, pi_to_text(val))],
-    )
-    return 0
+    val = pi_to_text(trig_moment(P, Q, i, j))
+    return 0, {"i": i, "j": j, "moment": val}, ["int Q^%d d(P^%d) = %s" % (i, j, val)]
 
 
-def cmd_trig_family(args) -> int:
-    obj = _load(args.input)
-    D = _context_D(obj)
+def cmd_trig_family(args, obj):
+    D = obj.get("D")
     d1 = obj.get("d1")
     d2 = obj.get("d2")
-    if not isinstance(d1, int) or not isinstance(d2, int):
+    if not _is_int(d1) or not _is_int(d2):
         raise InputError("fields 'd1' and 'd2' must be integers")
 
     def spec_table(name):
@@ -320,10 +270,7 @@ def cmd_trig_family(args) -> int:
                 idx = int(k)
             except ValueError as exc:
                 raise InputError("field %r: bad index %r" % (name, k)) from exc
-            out[idx] = (
-                Scalar.coerce(0) if pair[0] is None else _scalar(pair[0], D),
-                Scalar.coerce(0) if pair[1] is None else _scalar(pair[1], D),
-            )
+            out[idx] = tuple(Scalar.coerce(0) if c is None else scalar_from_text(c, D) for c in pair)
         return out
 
     P, Q = build_family(d1, d2, spec_table("p"), spec_table("q"))
@@ -346,41 +293,23 @@ def cmd_trig_family(args) -> int:
         "non-composition certificate: %s"
         % ("none found (inconclusive)" if cert is None else "(i=%d, j=%d) -> %s" % (cert[0], cert[1], pi_to_text(cert[2]))),
     ]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _scalar(text, D):
-    from .serialize import scalar_from_text
-
-    return scalar_from_text(text, D)
-
-
-def cmd_verify(args) -> int:
+def cmd_verify(args, obj):
     from .verify import run_suite
 
     results = run_suite(args.suite, seed=args.seed)
-    payload = {"suite": args.suite, "seed": args.seed, "criteria": []}
-    ok = True
+    criteria = [
+        {"id": res.cid, "title": res.title, "passed": res.passed, "details": res.details, "findings": res.findings}
+        for res in results
+    ]
+    lines = []
     for res in results:
-        payload["criteria"].append(
-            {
-                "id": res.cid,
-                "title": res.title,
-                "passed": res.passed,
-                "details": res.details,
-                "findings": res.findings,
-            }
-        )
-        ok = ok and res.passed
-    if args.json:
-        print(dumps(payload))
-    else:
-        for res in results:
-            print(res.format_line())
-            for f in res.findings:
-                print("    finding: %s" % f)
-    return 0 if ok else 1
+        lines.append(res.format_line())
+        lines += ["    finding: %s" % f for f in res.findings]
+    code = 0 if all(res.passed for res in results) else 1
+    return code, {"suite": args.suite, "seed": args.seed, "criteria": criteria}, lines
 
 
 # Options of the subcommands that read them, besides --input and --json.
@@ -410,14 +339,25 @@ _COMMANDS = [
     ("verify", cmd_verify, ("suite", "seed")),
 ]
 
+# What argparse prints for the command position when every command is built.
+# Only a one-command parser sets it as the metavar: on the full parser it
+# would also replace "command" in the missing-command error.
+_ALL_COMMANDS = "{%s}" % ",".join(name for name, _, _ in _COMMANDS)
 
-def build_parser() -> argparse.ArgumentParser:
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for the subcommand named by argv[0], or for all of them.
+
+    When argv[0] names a subcommand only its subparser is built; the usage
+    line still lists every command, so every message reads the same.
+    """
+    named = [c for c in _COMMANDS if argv and c[0] == argv[0]]
     ap = argparse.ArgumentParser(
         prog="abellab",
         description="Exact computations for parametric centers of the Abel equation.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn, flags in _COMMANDS:
+    sub = ap.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS if named else None)
+    for name, fn, flags in named or _COMMANDS:
         if name == "verify":
             p = sub.add_parser(name, help="run the bundled acceptance suites")
         else:
@@ -431,19 +371,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[:1]).parse_args(argv)
     try:
-        return args.fn(args)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+        obj = None if args.command == "verify" else _load(args.input)
+        code, payload, lines = args.fn(args, obj)
+    except (InputError, PreconditionError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except AbelLabError as exc:
         print("computation failed: %s" % exc, file=sys.stderr)
         return 1
+    print(dumps(payload) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

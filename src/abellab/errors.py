@@ -33,7 +33,7 @@ class KernelNotStabilizedError(AbelLabError, RuntimeError):
         self.dim_at_probe = dim_at_probe
         self.i_max = i_max
         super().__init__(
-            "kernel not stabilized: dimension %d at %d moments vs %d at %d; "
+            "kernel not stabilized: dimension %d at moments i <= %d vs %d at i <= %d; "
             "increase the moment count" % (dim_at_imax, i_max, dim_at_probe, i_max + 5)
         )
 

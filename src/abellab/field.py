@@ -175,9 +175,6 @@ class Scalar:
                 base = base * base
         return result
 
-    def inverse(self) -> "Scalar":
-        return Scalar(_ONE_Q, 0, None) / self
-
     # -- predicates and ordering ---------------------------------------------
 
     def __bool__(self):
@@ -185,9 +182,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self
-
-    def is_rational(self) -> bool:
-        return not self.irr
 
     def __eq__(self, other):
         if isinstance(other, (int, _Q)):
@@ -278,6 +272,13 @@ def format_scalar(x: Scalar) -> str:
     return _fmt_frac(x.rat) + sign + tail
 
 
+def _parse_frac(text: str, part: str):
+    try:
+        return _Q(part)
+    except ZeroDivisionError as exc:
+        raise ValueError("malformed scalar %r (zero denominator)" % text) from exc
+
+
 def parse_scalar(text: str, D=None) -> Scalar:
     """Parse the text grammar above.
 
@@ -287,7 +288,7 @@ def parse_scalar(text: str, D=None) -> Scalar:
     m = _SCALAR_RE.match(text)
     if m is None:
         raise ValueError("malformed scalar %r" % text)
-    first = _Q(m.group("first"))
+    first = _parse_frac(text, m.group("first"))
     d_txt = m.group("D")
     if d_txt is None:
         if m.group("op") is not None:
@@ -298,7 +299,7 @@ def parse_scalar(text: str, D=None) -> Scalar:
         raise FieldMismatchError("field mismatch: r%d in a r%d context" % (d_val, D))
     if m.group("op") is None:
         return Scalar(0, first, d_val)
-    second = _Q(m.group("second"))
+    second = _parse_frac(text, m.group("second"))
     if m.group("op") == "-":
         second = -second
     return Scalar(first, second, d_val)

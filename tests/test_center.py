@@ -7,6 +7,8 @@ from abellab.center import (
     DELTA_ON_P,
     EPS_ON_Q,
     FORWARD,
+    _flow_coefficients,
+    _revert,
     first_order_column,
     infinitesimal_order,
     invert_series,
@@ -17,7 +19,7 @@ from abellab.center import (
     tabulated_coefficient,
 )
 from abellab.errors import PreconditionError
-from abellab.field import ONE, ZERO, rational
+from abellab.field import ONE, ZERO, rational, sqrtD
 from abellab.poly import Interval, Poly
 
 IV01 = Interval(0, 1)
@@ -131,6 +133,51 @@ def test_support_laws_random():
         assert set(eps.entries) == {(k, k - 1 - 2 * j) for (k, j) in delta.entries}
         for (k, j), val in eps.entries.items():
             assert delta.entry(k, (k - 1 - j) // 2) == val
+
+
+def ref_eps_table(p, q, iv, K, direction):
+    """Entries of the parameter-on-q table from a recursion with the
+    parameter in q's slot, the path parametric_table ran before it
+    re-indexed the parameter-on-p recursion."""
+    c = _flow_coefficients([p], [Poly.zero(), q], iv.a, K)
+    per_k = [Poly([poly.eval(iv.b) for poly in c[k]]) for k in range(2, K + 1)]
+    if direction == BACKWARD:
+        per_k = _revert(per_k, Poly.zero(), Poly.one())
+    return {
+        (k, j): val
+        for k, eps_poly in zip(range(2, K + 1), per_k)
+        for j, val in enumerate(eps_poly.coeffs)
+        if val
+    }
+
+
+@pytest.mark.parametrize("D", [None, 3])
+def test_eps_table_is_the_reindexed_delta_recursion(D):
+    rng = random.Random(37 if D is None else 43)
+    r3 = sqrtD(3)
+
+    def coeff():
+        c = rational(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+        return c if D is None else c + rational(rng.randint(-2, 2), rng.choice([1, 2])) * r3
+
+    ivs = [IV11, Interval(0, 1)] if D is None else [Interval(-r3 / 2, r3 / 2), Interval(0, r3)]
+    surds = 0
+    for n in range(8):
+        iv = ivs[n % 2]
+        p = Poly([coeff() for _ in range(rng.randint(1, 4))])
+        q = Poly([coeff() for _ in range(rng.randint(1, 4))])
+        K = rng.randint(2, 9)
+        for direction in (FORWARD, BACKWARD):
+            got = parametric_table(p, q, iv, K, EPS_ON_Q, direction).entries
+            want = ref_eps_table(p, q, iv, K, direction)
+            assert list(got.items()) == list(want.items())
+            surds += sum(1 for v in want.values() if v.irr)
+    assert (surds > 0) == (D is not None)
+
+
+def test_unknown_param_is_rejected():
+    with pytest.raises(ValueError):
+        parametric_table(P(1), P(0, 1), IV11, 4, "eps_on_p")
 
 
 def test_backward_direction_table():

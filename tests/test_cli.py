@@ -1,9 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import abellab.cli as cli
 from abellab import verify
 from abellab.cli import SUITE_NAMES, build_parser, main
 from abellab.moments import moment
@@ -94,7 +97,10 @@ def test_zspace_not_stabilized_is_exit_1(tmp_path, capsys):
     path = write(tmp_path, "p.json", obj)
     code = main(["zspace", "--input", path, "--degree", "4", "--imax", "0"])
     assert code == 1
-    assert "kernel not stabilized" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "computation failed: kernel not stabilized: dimension 3 at moments i <= 0 "
+        "vs 2 at i <= 5; increase the moment count\n"
+    )
 
 
 def test_zspace_negative_imax_is_an_input_error(tmp_path, capsys):
@@ -192,6 +198,10 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     path2 = write(tmp_path, "bad2.json", {"interval": {"a": "0", "b": "1"}})
     assert main(["definite", "--input", path2]) == 2
     assert "P" in capsys.readouterr().err
+    # a falsy value counts as missing
+    path3 = write(tmp_path, "bad3.json", {"P": {}, "interval": {"a": "0", "b": "1"}})
+    assert main(["definite", "--input", path3]) == 2
+    assert capsys.readouterr().err == "input error: missing field 'P'\n"
 
 
 def test_trig_family_rejection_names_index(tmp_path, capsys):
@@ -319,7 +329,13 @@ def test_stray_flag_is_an_argparse_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    # main builds only the named subparser, but the usage line printed
+    # with the error is the full parser's
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert capsys.readouterr().err == err
 
 
 def test_verify_suite_names_match_the_suites(capsys):
@@ -335,3 +351,193 @@ def test_importing_the_cli_does_not_import_the_suites():
     code = "import sys, abellab.cli; print('abellab.verify' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def subcommands(ap):
+    (action,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(action.choices)
+
+
+ALL_COMMANDS = sorted(name for name, _, _ in cli._COMMANDS)
+
+
+def test_parser_holds_only_the_named_subcommand():
+    assert len(ALL_COMMANDS) == 12
+    assert subcommands(build_parser(["zspace"])) == ["zspace"]
+    assert subcommands(build_parser(["zspace", "--input", "x.json"])) == ["zspace"]
+    assert subcommands(build_parser(["bogus"])) == ALL_COMMANDS
+    assert subcommands(build_parser(["--help"])) == ALL_COMMANDS
+    assert subcommands(build_parser([])) == ALL_COMMANDS
+    assert subcommands(build_parser()) == ALL_COMMANDS
+
+
+def test_main_builds_one_subparser_for_a_known_command(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def recording(argv=()):
+        built.append(build_parser(argv))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    path = write(tmp_path, "p.json", {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}})
+    assert main(["definite", "--input", path]) == 0
+    assert capsys.readouterr().out == "definite: True\n"
+    assert [subcommands(ap) for ap in built] == [["definite"]]
+
+
+def test_unknown_command_lists_every_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert "{%s}" % ",".join(name for name, _, _ in cli._COMMANDS) in err
+    for name in ALL_COMMANDS:
+        assert "'%s'" % name in err
+
+
+def test_commands_return_their_output_and_print_nothing(tmp_path, capsys):
+    path = write(tmp_path, "p.json", {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}})
+    args = build_parser().parse_args(["definite", "--input", path])
+    assert cli.cmd_definite(args, cli._load(path)) == (0, {"definite": True}, ["definite: True"])
+    args = build_parser().parse_args(["verify", "--suite", "series"])
+    code, payload, lines = cli.cmd_verify(args, None)
+    assert capsys.readouterr().out == ""
+    assert code == 0 and payload["criteria"][0]["id"] == "A3" and lines[0].startswith("A3 ")
+
+
+def test_verify_exits_1_when_a_criterion_fails(monkeypatch, capsys):
+    results = [
+        verify.CriterionResult("A1", "first", True),
+        verify.CriterionResult("A2", "second", False, findings=["off by one"]),
+    ]
+    monkeypatch.setattr(verify, "run_suite", lambda name, seed: results)
+    assert main(["verify", "--suite", "stratify"]) == 1
+    assert capsys.readouterr().out == "A1 first: PASS\nA2 second: FAIL\n    finding: off by one\n"
+    assert main(["verify", "--suite", "stratify", "--json"]) == 1
+    assert [c["passed"] for c in json.loads(capsys.readouterr().out)["criteria"]] == [True, False]
+
+
+# One fixture per subcommand; its expected stdout, text and --json, is
+# checked in as cli_golden.json and changes only with a deliberate change
+# of the output.
+GOLDEN_INPUTS = {
+    "pair": {
+        "P": {"coeffs": ["-1", "0", "1"]},
+        "Q": {"coeffs": ["0", "-1", "0", "1"]},
+        "interval": {"a": "-1", "b": "1"},
+    },
+    "melnikov": {
+        "P": {"coeffs": ["0", "-1", "1"]},
+        "Q": {"coeffs": ["0", "2", "-3", "1"]},
+        "interval": {"a": "0", "b": "1"},
+    },
+    "cc": PAIR_CC,
+    "single": {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}},
+    "chebyshev": {
+        "D": 3,
+        "P": {"coeffs": ["0", "0", "18", "0", "-48", "0", "32"]},
+        "interval": {"a": "-1/2*r3", "b": "1/2*r3"},
+    },
+    "iterated": {
+        "alpha": [1, 2, 1],
+        "h1": {"coeffs": ["1", "-1/2"]},
+        "h2": {"coeffs": ["0", "2"]},
+        "interval": {"a": "0", "b": "1"},
+    },
+    "trig": {
+        "P": {"a0": "0", "cos": {"3": "1"}, "sin": {}},
+        "Q": {"a0": "0", "cos": {"6": "1/2"}, "sin": {"2": "1"}},
+        "i": 3,
+        "j": 2,
+    },
+    "family": {
+        "d1": 3,
+        "d2": 2,
+        "p": {"1": ["1", "0"]},
+        "q": {"1": ["0", "1"], "2": ["1/2", None]},
+        "R": {"coeffs": ["0", "-3", "0", "4"]},
+    },
+}
+
+GOLDEN_CALLS = {
+    "center-table": ("pair", ["--kmax", "7", "--param", "eps", "--direction", "backward"]),
+    "iterated": ("iterated", []),
+    "melnikov": ("melnikov", []),
+    "moments": ("pair", ["--nmax", "3"]),
+    "zspace": ("single", ["--degree", "4"]),
+    "factors": ("chebyshev", []),
+    "cc": ("cc", []),
+    "definite": ("single", []),
+    "report": ("pair", ["--kmax", "6", "--nmax", "6"]),
+    "trig-moment": ("trig", []),
+    "trig-family": ("family", ["--imax", "6"]),
+    "verify": (None, ["--suite", "series", "--seed", "7"]),
+}
+
+
+def golden_argv(tmp_path, command):
+    fixture, flags = GOLDEN_CALLS[command]
+    if fixture is None:
+        return [command] + flags
+    return [command, "--input", write(tmp_path, fixture + ".json", GOLDEN_INPUTS[fixture])] + flags
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CALLS))
+def test_stdout_matches_the_checked_in_expectation(command, tmp_path, capsys):
+    assert sorted(GOLDEN_CALLS) == ALL_COMMANDS
+    want = json.loads(Path(__file__).with_name("cli_golden.json").read_text())[command]
+    argv = golden_argv(tmp_path, command)
+    for mode, extra in (("text", []), ("json", ["--json"])):
+        assert main(argv + extra) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (want[mode], "")
+
+
+def assert_input_error(capsys, argv, fragment):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error:") and fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("definite", {"P": {"coeffs": ["-1", "0", "1/0"]}, "interval": {"a": "-1", "b": "1"}}),
+        ("definite", {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "2/0"}}),
+        ("definite", {"D": 3, "P": {"coeffs": ["-3/4", "0", "1"]}, "interval": {"a": "-1/2*r3", "b": "1/0*r3"}}),
+        ("cc", {"D": 3, "P": {"coeffs": ["0", "1-1/0*r3"]}, "Q": {"coeffs": ["1"]}, "interval": {"a": "0", "b": "1"}}),
+        ("trig-moment", {"P": {"cos": {"3": "1/0"}}, "Q": {"sin": {"2": "1"}}, "i": 1, "j": 1}),
+        ("trig-family", {"d1": 3, "d2": 2, "p": {"1": ["1", "0"]}, "q": {"1": ["0/0", "1"]}}),
+    ],
+)
+def test_zero_denominator_is_an_input_error(command, obj, tmp_path, capsys):
+    assert_input_error(capsys, [command, "--input", write(tmp_path, "z.json", obj)], "zero denominator")
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"P": ' + "[" * 200000 + "]" * 200000 + "}")
+    assert_input_error(capsys, ["definite", "--input", str(path)], "nested too deeply")
+
+
+@pytest.mark.parametrize("alpha", [[True, 2], [1, False], [True]])
+def test_boolean_alpha_is_rejected(alpha, tmp_path, capsys):
+    obj = {"alpha": alpha, "h1": {"coeffs": ["1"]}, "h2": {"coeffs": ["0", "2"]}, "interval": {"a": "0", "b": "1"}}
+    assert_input_error(capsys, ["iterated", "--input", write(tmp_path, "it.json", obj)], "'alpha'")
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("trig-moment", {"i": True, "j": 2}),
+        ("trig-moment", {"i": 3, "j": False}),
+        ("trig-family", {"d1": True, "d2": 2}),
+    ],
+)
+def test_boolean_indices_are_rejected(command, fields, tmp_path, capsys):
+    obj = {"P": {"cos": {"3": "1"}}, "Q": {"sin": {"2": "1"}}, "p": {"1": ["1", "0"]}, "d1": 3, "d2": 2}
+    obj.update(fields)
+    assert_input_error(capsys, [command, "--input", write(tmp_path, "b.json", obj)], "must be integers")

@@ -93,6 +93,12 @@ def test_text_grammar_examples():
         parse_scalar("1*r2", D=3)
 
 
+@pytest.mark.parametrize("text", ["1/0", "-0/00", "1/0*r3", "1/2+3/0*r3", "1/0-1*r5", "1/0+2"])
+def test_zero_denominator_is_a_value_error(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar(text)
+
+
 def test_ordering_is_the_real_order():
     # sqrt(3) is between 1 and 2; 1/2 + sqrt(3) > 2
     assert rational(1) < R3 < rational(2)
