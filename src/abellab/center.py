@@ -223,6 +223,10 @@ class CenterTable:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def lowest_stratum(self):
+        """The lowest parameter power with a nonzero entry, or None."""
+        return min((j for _, j in self.entries), default=None)
+
 
 def parametric_table(
     p: Poly, q: Poly, iv: Interval, K: int, param: str, direction: str = FORWARD
@@ -274,18 +278,11 @@ class InfinitesimalOrder:
 def infinitesimal_order(
     p: Poly, q: Poly, iv: Interval, K: int, param: str
 ) -> InfinitesimalOrder:
-    table = parametric_table(p, q, iv, K, param, FORWARD)
-    if not table.entries:
-        return InfinitesimalOrder(order=None, K=K)
-    lowest = min(j for (_, j) in table.entries)
+    lowest = parametric_table(p, q, iv, K, param, FORWARD).lowest_stratum()
     return InfinitesimalOrder(order=lowest, K=K)
 
 
 # -- quadratic-stratum (Melnikov) expressions ------------------------------------
-
-
-def _require_pcpair(P: Poly, Q: Poly, iv: Interval) -> PCPair:
-    return PCPair(P, Q, iv)
 
 
 def melnikov(k: int, P: Poly, Q: Poly, iv: Interval) -> Scalar:
@@ -295,7 +292,7 @@ def melnikov(k: int, P: Poly, Q: Poly, iv: Interval) -> Scalar:
     int P^3 Q q with the two nested integrals weighted 320 and 185.
     Requires a primitive pair (P, Q vanish at both endpoints).
     """
-    _require_pcpair(P, Q, iv)
+    PCPair(P, Q, iv)
     p = P.derivative()
     q = Q.derivative()
     if k == 6:
@@ -333,7 +330,7 @@ def first_order_column(P: Poly, Q: Poly, iv: Interval, i: int, param: str) -> Sc
     2i+2; perturbing p gives int Q^i p at order i+3.  Independent of the
     recursion, for cross-checking it.
     """
-    _require_pcpair(P, Q, iv)
+    PCPair(P, Q, iv)
     if i < 0:
         raise PreconditionError("i must be nonnegative")
     if param == DELTA_ON_P:

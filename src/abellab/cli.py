@@ -24,20 +24,18 @@ from .center import (
     DELTA_ON_P,
     EPS_ON_Q,
     FORWARD,
-    infinitesimal_order,
     iterated_integral,
     melnikov,
     parametric_table,
 )
 from .decomp import cc_check, is_definite, structure_report
-from .errors import AbelLabError, PreconditionError
+from .errors import AbelLabError, FieldMismatchError, PreconditionError
 from .field import Scalar, _squarefree
 from .moments import _moments_upto, parametric_structure_report, zero_space
 from .serialize import (
     InputError,
     dumps,
     interval_from_json,
-    pi_to_text,
     poly_from_json,
     poly_to_json,
     scalar_from_text,
@@ -116,14 +114,16 @@ def cmd_center_table(args, obj):
     p, q = P.derivative(), Q.derivative()
     param = EPS_ON_Q if args.param == "eps" else DELTA_ON_P
     table = parametric_table(p, q, iv, args.kmax, param, args.direction)
-    order = infinitesimal_order(p, q, iv, args.kmax, param)
+    # The backward map is -v plus products of v's, so its lowest stratum is
+    # the forward one: the table read in either direction gives the order.
+    order = table.lowest_stratum()
     entries = sorted(table.entries.items())
     payload = {
         "K": table.K,
         "param": table.param,
         "direction": table.direction,
         "entries": {"%d,%d" % kj: scalar_to_text(v) for kj, v in entries},
-        "infinitesimal_order": order.order if order.order is not None else "all-zero",
+        "infinitesimal_order": order if order is not None else "all-zero",
     }
     lines = ["center table (%s, %s, K=%d)" % (table.param, table.direction, table.K)]
     lines += ["  v[%d,%d] = %s" % (k, j, scalar_to_text(v)) for (k, j), v in entries]
@@ -247,7 +247,7 @@ def cmd_trig_moment(args, obj):
     j = obj.get("j")
     if not _is_int(i) or not _is_int(j):
         raise InputError("fields 'i' and 'j' must be integers")
-    val = pi_to_text(trig_moment(P, Q, i, j))
+    val = str(trig_moment(P, Q, i, j))
     return 0, {"i": i, "j": j, "moment": val}, ["int Q^%d d(P^%d) = %s" % (i, j, val)]
 
 
@@ -285,13 +285,13 @@ def cmd_trig_family(args, obj):
         "Q": trig_to_json(Q),
         "first_moments_vanish_upto": imax,
         "first_moments_vanish": fam_ok,
-        "certificate": None if cert is None else {"i": cert[0], "j": cert[1], "value": pi_to_text(cert[2])},
+        "certificate": None if cert is None else {"i": cert[0], "j": cert[1], "value": str(cert[2])},
     }
     lines = [
         "family with d1=%d, d2=%d" % (d1, d2),
         "first moment families vanish up to %d: %s" % (imax, fam_ok),
         "non-composition certificate: %s"
-        % ("none found (inconclusive)" if cert is None else "(i=%d, j=%d) -> %s" % (cert[0], cert[1], pi_to_text(cert[2]))),
+        % ("none found (inconclusive)" if cert is None else "(i=%d, j=%d) -> %s" % cert),
     ]
     return 0, payload, lines
 
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     try:
         obj = None if args.command == "verify" else _load(args.input)
         code, payload, lines = args.fn(args, obj)
-    except (InputError, PreconditionError) as exc:
+    except (InputError, PreconditionError, FieldMismatchError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except AbelLabError as exc:

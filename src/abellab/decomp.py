@@ -54,19 +54,19 @@ def normalize_factor(W: Poly) -> Poly:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """Normalized right factors of one polynomial, plus the count s of
-    indecomposable classes among them."""
+    """Normalized right factor classes of one polynomial, ascending by
+    degree, and the indecomposable classes among them."""
 
     factors: tuple
-    s: int
+    minimal: tuple
+
+    @property
+    def s(self) -> int:
+        return len(self.minimal)
 
     @property
     def degrees(self):
         return tuple(W.degree for W in self.factors)
-
-
-def _sort_key(W: Poly):
-    return (W.degree, tuple((c.rat, c.irr) for c in W.coeffs))
 
 
 def right_factors(P: Poly, iv: Interval) -> FactorSet:
@@ -87,39 +87,34 @@ def right_factors(P: Poly, iv: Interval) -> FactorSet:
         if in_subring(P, W) is None:
             continue
         found.append(W)
-    found.sort(key=_sort_key)
     minimal = _minimal_factors(found)
     if len(minimal) > 3:
         raise FactorBoundError(
             "found %d indecomposable factor classes; at most 3 are possible"
             % len(minimal)
         )
-    return FactorSet(tuple(found), len(minimal))
+    return FactorSet(tuple(found), minimal)
 
 
 def _minimal_factors(factors):
-    """Factors with no proper factor of their own inside the list."""
-    minimal = []
-    for W in factors:
-        proper = False
-        for V in factors:
-            if V.degree < W.degree and in_subring(W, V) is not None:
-                proper = True
-                break
-        if not proper:
-            minimal.append(W)
-    return minimal
+    """Factors with no proper factor of their own inside the list.
+
+    For right factors V and W of one polynomial, C[V, W] = C[U] with
+    deg U = gcd(deg V, deg W) (Engstrom, "Polynomial substitutions", Amer.
+    J. Math. 63, 1941), and there is one class per degree, so W lies in
+    C[V] exactly when deg V divides deg W.
+    """
+    degrees = [V.degree for V in factors]
+    return tuple(
+        W for W in factors if not any(e < W.degree and W.degree % e == 0 for e in degrees)
+    )
 
 
 def indecomposable_factors(P: Poly, iv: Interval) -> FactorSet:
-    """The minimal right factor classes (no proper factor of their own).
-
-    Sorted by degree, then coefficients; s equals the count.
-    """
-    fs = right_factors(P, iv)
-    minimal = _minimal_factors(list(fs.factors))
-    minimal.sort(key=_sort_key)
-    return FactorSet(tuple(minimal), len(minimal))
+    """The minimal right factor classes (no proper factor of their own),
+    ascending by degree; s equals the count."""
+    minimal = right_factors(P, iv).minimal
+    return FactorSet(minimal, minimal)
 
 
 def is_definite(P: Poly, iv: Interval) -> bool:

@@ -40,13 +40,9 @@ def _moments_upto(P: Poly, qs, iv: Interval, n: int):
     return rows
 
 
-def _all_vanish(P: Poly, q: Poly, iv: Interval, n: int) -> bool:
-    return not any(row[0] for row in _moments_upto(P, [q], iv, n))
-
-
 def double_moments_vanish(P: Poly, Q: Poly, iv: Interval, N: int) -> bool:
     """Do int P^i Q' and int Q^j P' vanish for all i, j <= N?"""
-    return _all_vanish(P, Q.derivative(), iv, N) and _all_vanish(Q, P.derivative(), iv, N)
+    return in_zero_space_of(P, Q, iv, N) and in_zero_space_of(Q, P, iv, N)
 
 
 def pspace_basis(iv: Interval, d: int):
@@ -167,7 +163,7 @@ def chebyshev_zero_space_dim(d: int) -> int:
 def in_zero_space_of(base: Poly, candidate: Poly, iv: Interval, I_max: int) -> bool:
     """Truncated certificate that candidate lies in the zero space of base:
     int base^i candidate' = 0 for all i <= I_max."""
-    return _all_vanish(base, candidate.derivative(), iv, I_max)
+    return not any(row[0] for row in _moments_upto(base, [candidate.derivative()], iv, I_max))
 
 
 @dataclass(frozen=True)
@@ -198,7 +194,6 @@ def parametric_structure_report(
     witness = cc_check(P, Q, iv)
     table = parametric_table(p, q, iv, K, EPS_ON_Q, FORWARD)
     tpc = table.is_zero()
-    dm = double_moments_vanish(P, Q, iv, N)
     p_def = is_definite(P, iv)
     q_def = is_definite(Q, iv)
     p_in_zq = in_zero_space_of(Q, P, iv, N)
@@ -209,7 +204,7 @@ def parametric_structure_report(
     return ParametricStructureReport(
         cc=witness,
         truncated_parametric_center=tpc,
-        double_moments=dm,
+        double_moments=p_in_zq and q_in_zp,
         P_definite=p_def,
         Q_definite=q_def,
         P_in_Z_of_Q=p_in_zq,

@@ -12,7 +12,7 @@ import json
 
 from .field import Scalar, format_scalar, parse_scalar
 from .poly import Interval, Poly
-from .trig import PiScalar, TrigPoly
+from .trig import TrigPoly
 
 
 class InputError(ValueError):
@@ -49,10 +49,6 @@ def poly_from_json(obj, D=None) -> Poly:
     if not isinstance(coeffs, list):
         raise InputError("field 'coeffs' must be a list")
     return Poly([scalar_from_text(c, D) for c in coeffs])
-
-
-def interval_to_json(iv: Interval) -> dict:
-    return {"a": scalar_to_text(iv.a), "b": scalar_to_text(iv.b)}
 
 
 def interval_from_json(obj, D=None) -> Interval:
@@ -96,12 +92,6 @@ def trig_from_json(obj, D=None) -> TrigPoly:
         return TrigPoly(a0, table("cos"), table("sin"))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-
-
-def pi_to_text(x: PiScalar) -> str:
-    if not x.coeff:
-        return "0"
-    return "%s*pi" % scalar_to_text(x.coeff)
 
 
 def dumps(obj) -> str:

@@ -215,7 +215,8 @@ def build_family(d1: int, d2: int, p_spec: dict, q_spec: dict):
 
     P has cosine/sine coefficients (a_k, b_k) at frequencies k*d1 with
     a_k = b_k = 0 whenever d2 | k, and Q has (c_l, f_l) at l*d2 with
-    c_l = f_l = 0 whenever d1 | l; violations are rejected by index.
+    c_l = f_l = 0 whenever d1 | l, for indices k, l >= 1; violations are
+    rejected by index.
     """
     if d1 <= 1 or d2 <= 1:
         raise PreconditionError("frequency multipliers must exceed 1")
@@ -226,6 +227,8 @@ def build_family(d1: int, d2: int, p_spec: dict, q_spec: dict):
         cc, ss = {}, {}
         for k, (ak, bk) in spec.items():
             k, ak, bk = int(k), Scalar.coerce(ak), Scalar.coerce(bk)
+            if (ak or bk) and k < 1:
+                raise PreconditionError("%s index %d must be positive" % (name, k))
             if (ak or bk) and k % excluded_by == 0:
                 raise PreconditionError(
                     "%s index %d violates the divisibility exclusion" % (name, k)

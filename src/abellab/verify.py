@@ -808,51 +808,38 @@ def a10_prime_support(seed: int) -> CriterionResult:
 # -- suite registry ------------------------------------------------------------------
 
 
-def all_criteria(seed: int):
-    out = [a1_stratification(seed), a2_moment_columns(seed), a3_series_match(seed)]
-    out += a4_melnikov(seed)
-    out += a5_zero_space(seed)
-    out.append(a6_factors(seed))
-    out.append(a7_cc(seed))
-    out.append(a8_trig_family(seed))
-    out.append(a9_modified_family(seed))
-    out.append(a10_prime_support(seed))
-    return out
-
-
+# Each suite's criterion functions, in order; "all" runs A1..A10.
 SUITES = {
-    "all": None,
-    "stratify": ["A1"],
-    "columns": ["A2"],
-    "series": ["A3"],
-    "melnikov": ["A4"],
-    "zspace": ["A5"],
-    "factors": ["A6"],
-    "cc": ["A7"],
-    "trig": ["A8", "A9"],
-    "ur": ["A10"],
-}
-
-_RUNNERS = {
-    "A1": lambda seed: [a1_stratification(seed)],
-    "A2": lambda seed: [a2_moment_columns(seed)],
-    "A3": lambda seed: [a3_series_match(seed)],
-    "A4": a4_melnikov,
-    "A5": a5_zero_space,
-    "A6": lambda seed: [a6_factors(seed)],
-    "A7": lambda seed: [a7_cc(seed)],
-    "A8": lambda seed: [a8_trig_family(seed)],
-    "A9": lambda seed: [a9_modified_family(seed)],
-    "A10": lambda seed: [a10_prime_support(seed)],
+    "all": (
+        a1_stratification,
+        a2_moment_columns,
+        a3_series_match,
+        a4_melnikov,
+        a5_zero_space,
+        a6_factors,
+        a7_cc,
+        a8_trig_family,
+        a9_modified_family,
+        a10_prime_support,
+    ),
+    "stratify": (a1_stratification,),
+    "columns": (a2_moment_columns,),
+    "series": (a3_series_match,),
+    "melnikov": (a4_melnikov,),
+    "zspace": (a5_zero_space,),
+    "factors": (a6_factors,),
+    "cc": (a7_cc,),
+    "trig": (a8_trig_family, a9_modified_family),
+    "ur": (a10_prime_support,),
 }
 
 
 def run_suite(name: str, seed: int = 7):
+    """The results of the suite's criteria, in order; A4 and A5 give three each."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (have %s)" % (name, sorted(SUITES)))
-    if name == "all":
-        return all_criteria(seed)
     out = []
-    for cid in SUITES[name]:
-        out.extend(_RUNNERS[cid](seed))
+    for criterion in SUITES[name]:
+        res = criterion(seed)
+        out.extend(res if isinstance(res, list) else [res])
     return out

@@ -3,12 +3,21 @@
 Each criterion runs at its stated sample counts and exact (zero) tolerance;
 seeds are fixed so the suite is deterministic.  A4iii reports fitted
 constants and residual findings without failing on nonzero residuals, as
-its contract states.
+its contract states.  Every result must also equal, field by field, its
+entry in the checked-in ``abellab verify --suite all --json --seed 7``
+output (verify_golden.json).
 """
+
+import json
+from pathlib import Path
 
 from abellab import verify
 
 SEED = 7
+GOLDEN = {
+    c["id"]: c
+    for c in json.loads(Path(__file__).with_name("verify_golden.json").read_text())["criteria"]
+}
 
 
 def _run(runner):
@@ -24,7 +33,20 @@ def _run(runner):
     assert all(r.passed for r in results), "; ".join(
         r.cid for r in results if not r.passed
     )
+    for res in results:
+        got = {"id": res.cid, "title": res.title, "passed": res.passed, "details": res.details, "findings": res.findings}
+        assert got == GOLDEN[res.cid]
     return results
+
+
+def test_all_runs_every_suite_in_criterion_order():
+    names = [fn.__name__.split("_")[0] for fn in verify.SUITES["all"]]
+    assert names == ["a%d" % i for i in range(1, 11)]
+    for suite in verify.SUITES.values():
+        assert set(suite) <= set(verify.SUITES["all"])
+    assert sorted(GOLDEN) == sorted(
+        ["A1", "A2", "A3", "A4i", "A4ii", "A4iii", "A5a", "A5b", "A5c", "A6", "A7", "A8", "A9", "A10"]
+    )
 
 
 def test_a1_stratification_support():

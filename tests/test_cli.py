@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import abellab.center as center
 import abellab.cli as cli
 from abellab import verify
+from abellab.center import DELTA_ON_P, EPS_ON_Q, infinitesimal_order, parametric_table
 from abellab.cli import SUITE_NAMES, build_parser, main
 from abellab.moments import moment
 from abellab.poly import Interval
@@ -541,3 +543,81 @@ def test_boolean_indices_are_rejected(command, fields, tmp_path, capsys):
     obj = {"P": {"cos": {"3": "1"}}, "Q": {"sin": {"2": "1"}}, "p": {"1": ["1", "0"]}, "d1": 3, "d2": 2}
     obj.update(fields)
     assert_input_error(capsys, [command, "--input", write(tmp_path, "b.json", obj)], "must be integers")
+
+
+@pytest.mark.parametrize("index", ["-1", "0", "-2"])
+def test_non_positive_family_index_is_an_input_error(index, tmp_path, capsys):
+    obj = {"d1": 3, "d2": 2, "p": {index: ["1", "0"]}, "q": {"1": ["0", "1"]}}
+    path = write(tmp_path, "fam.json", obj)
+    assert_input_error(capsys, ["trig-family", "--input", path], "P index %s must be positive" % index)
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("factors", {"P": {"coeffs": ["1*r3", "1*r5", "1"]}, "interval": {"a": "-1", "b": "1"}}),
+        (
+            "center-table",
+            {"P": {"coeffs": ["0", "-1*r3", "1"]}, "Q": {"coeffs": ["0", "1"]}, "interval": {"a": "0", "b": "1*r5"}},
+        ),
+    ],
+)
+def test_mixed_radicands_are_an_input_error(command, obj, tmp_path, capsys):
+    path = write(tmp_path, "mix.json", obj)
+    assert_input_error(capsys, [command, "--input", path], "field mismatch: sqrt(3) vs sqrt(5)")
+
+
+# Primitive pairs, a pair with Q(a) != Q(b) (order 0 with the parameter on
+# p), and two pairs whose tables vanish: a composition pair and Q = 0.
+ORDER_PAIRS = [
+    GOLDEN_INPUTS["pair"],
+    GOLDEN_INPUTS["melnikov"],
+    {"P": {"coeffs": ["0", "-2", "1"]}, "Q": {"coeffs": ["0", "1", "1"]}, "interval": {"a": "0", "b": "2"}},
+    {
+        "D": 3,
+        "P": {"coeffs": ["-3/4", "0", "1"]},
+        "Q": {"coeffs": ["0", "-3/4", "1/2*r3", "1"]},
+        "interval": {"a": "-1/2*r3", "b": "1/2*r3"},
+    },
+    {"P": {"coeffs": ["1", "0", "-2", "0", "1"]}, "Q": {"coeffs": ["0", "0", "-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}},
+    {"P": {"coeffs": ["-1", "0", "1"]}, "Q": {"coeffs": ["0"]}, "interval": {"a": "-1", "b": "1"}},
+]
+
+
+@pytest.mark.parametrize("obj", ORDER_PAIRS)
+def test_center_table_order_is_the_library_order(obj, tmp_path, capsys):
+    P, Q, iv = cli._fields(obj, "P", "Q", "interval")
+    path = write(tmp_path, "pair.json", obj)
+    for flag, param in (("eps", EPS_ON_Q), ("delta", DELTA_ON_P)):
+        want = infinitesimal_order(P.derivative(), Q.derivative(), iv, 7, param).order
+        want = "all-zero" if want is None else want
+        for direction in ("forward", "backward"):
+            argv = ["center-table", "--input", path, "--kmax", "7", "--param", flag, "--direction", direction]
+            assert main(argv + ["--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["infinitesimal_order"] == want
+
+
+def test_center_table_order_cases_cover_zero_and_all_zero():
+    orders = set()
+    for obj in ORDER_PAIRS:
+        P, Q, iv = cli._fields(obj, "P", "Q", "interval")
+        for param in (EPS_ON_Q, DELTA_ON_P):
+            orders.add(infinitesimal_order(P.derivative(), Q.derivative(), iv, 7, param).order)
+    assert {None, 0, 1} <= orders
+
+
+def test_center_table_builds_one_table(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parametric_table(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parametric_table", counted)
+    monkeypatch.setattr(center, "parametric_table", counted)
+    path = write(tmp_path, "pair.json", GOLDEN_INPUTS["pair"])
+    for direction in ("forward", "backward"):
+        calls.clear()
+        assert main(["center-table", "--input", path, "--kmax", "6", "--direction", direction]) == 0
+        assert len(calls) == 1
+    capsys.readouterr()

@@ -175,3 +175,52 @@ def test_structure_report_examples():
     rep1 = structure_report(P(-1, 0, 1), IV11)
     assert (rep1.s, rep1.tag) == (1, "single")
     assert rep1.definite is True
+
+
+def ref_minimal(factors):
+    """Minimal classes by the pairwise subring test (the reference for the
+    degree rule)."""
+    return tuple(
+        W
+        for W in factors
+        if not any(V.degree < W.degree and in_subring(W, V) is not None for V in factors)
+    )
+
+
+def _closed_inner_factors():
+    """(W, interval) with W(a) = W(b), over Q and Q(sqrt3)."""
+    T = chebyshev
+    return [
+        (X2, IV11),
+        (X5X, IV11),
+        (P10, IV11),
+        (T(4), IV11),
+        (T(3).compose(T(2)), IV11),
+        (T(2), IV3),
+        (T(3), IV3),
+        (P6, IV3),
+        (T(2).compose(P6), IV3),
+        (Poly([0, 0, 1, 0, -1]).scale(sqrtD(3)) + X2, IV11),
+    ]
+
+
+def test_minimal_classes_by_degree_match_the_subring_reference():
+    rng = random.Random(11)
+    # (x^5 - x)^4 has classes of degree 2, 4, 5, 10, 20: the non-minimal
+    # degree-4 class comes before the minimal degree-5 one
+    cases = [(P6, IV3), (P10, IV11), (X5X**4, IV11)] + _closed_inner_factors()
+    for _ in range(60):
+        W, iv = rng.choice(_closed_inner_factors())
+        coeffs = [rational(rng.randint(-3, 3)) + rng.randint(-1, 1) * sqrtD(3) for _ in range(rng.randint(1, 3))]
+        outer = Poly(coeffs + [rational(rng.choice([1, -2, 3]))])
+        cases.append((outer.compose(W), iv))
+    several = 0
+    for Pp, iv in cases:
+        fs = right_factors(Pp, iv)
+        degrees = fs.degrees
+        assert list(degrees) == sorted(set(degrees))
+        minimal = indecomposable_factors(Pp, iv)
+        assert minimal.factors == ref_minimal(fs.factors) == fs.minimal
+        assert minimal.s == fs.s == len(minimal.factors)
+        several += minimal.s > 1
+    assert several >= 20

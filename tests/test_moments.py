@@ -286,3 +286,35 @@ def test_single_elimination_matches_two_kernels_on_fixed_cases():
         assert got == outcome(ref_zero_space, *case)
         kinds.append(got[0])
     assert "basis" in kinds and "not stabilized" in kinds
+
+
+def test_report_reads_double_moments_off_the_two_zero_space_tests(monkeypatch):
+    import abellab.moments as moments
+
+    W = P(0, 0, 1)
+    pairs = [
+        (P(1, -2).compose(W) - Poly.constant(rational(-1)), P(0, -1, 1).compose(W), IV11),
+        (P(-1, 0, 1), P(0, -1, 0, 1), IV11),
+        (P6, chebyshev(3), IV3),
+        (P(-1, 0, 1), P(-1, 0, 1) * P(0, 1), IV11),
+        # T2 + T3 lies in Z(T6 + 1), but T6 + 1 is not in C[T2 + T3]
+        (P6, chebyshev(2) + chebyshev(3) - Poly.constant(rational(1, 2)), IV3),
+    ]
+    calls = []
+    ladder = moments._moments_upto
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    monkeypatch.setattr(moments, "_moments_upto", counted)
+    seen = set()
+    for Pp, Q, iv in pairs:
+        calls.clear()
+        rep = parametric_structure_report(Pp, Q, iv, 6, 8)
+        assert len(calls) <= 2
+        assert rep.double_moments == (rep.P_in_Z_of_Q and rep.Q_in_Z_of_P)
+        by_moment = all(moment(Pp, Q, iv, i) == 0 and moment(Q, Pp, iv, i) == 0 for i in range(9))
+        assert rep.double_moments == by_moment == double_moments_vanish(Pp, Q, iv, 8)
+        seen.add((rep.P_in_Z_of_Q, rep.Q_in_Z_of_P))
+    assert seen == {(True, True), (False, False), (False, True)}
