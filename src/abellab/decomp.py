@@ -27,20 +27,25 @@ def _divisors_between(n: int):
 def _top_candidate(P: Poly, m: int) -> Poly:
     """The unique monic, zero-constant candidate factor of degree m.
 
-    If P = S(V) with deg V = m then the coefficients of V below the top are
-    pinned by the top coefficients of P (the unknown at each step enters
-    linearly with coefficient n*lc, and lower steps never feed back), while
-    the constant term is free; we normalize it to zero.
+    If P = S(V) with deg V = m and N = n*m, then for t < m the coefficient
+    of x^(N-t) in P is lc * v_t, where v = U^n and U(y) = y^m V(1/y) =
+    1 + u_1 y + ... is V reversed; so u_1..u_(m-1) are pinned one by one,
+    while the constant term of V is free and normalized to zero.  A power
+    of a series obeys t v_t = sum_{j=1..t} ((n+1) j - t) u_j v_(t-j)
+    (J. C. P. Miller's recurrence), whose j = t term is n t u_t, so u_t is
+    solved from v_0..v_t = P[N]/lc..P[N-t]/lc with no power of V formed.
     """
     N = P.degree
     n = N // m
     lc = P.leading()
-    w = [ZERO] * m + [ONE]
+    v = [P[N - k] / lc for k in range(m)]
+    u = [ONE]
     for t in range(1, m):
-        Wn = Poly(w) ** n
-        current = lc * Wn[N - t]
-        w[m - t] = (P[N - t] - current) / (lc * n)
-    return Poly(w)
+        rest = ZERO
+        for j in range(1, t):
+            rest = rest + u[j] * v[t - j] * ((n + 1) * j - t)
+        u.append((v[t] - rest / t) / n)
+    return Poly([ZERO] + u[:0:-1] + [ONE])
 
 
 def normalize_factor(W: Poly) -> Poly:
@@ -144,12 +149,22 @@ def cc_check(P: Poly, Q: Poly, iv: Interval):
     composite of one of P's indecomposable factor classes, so testing Q
     against each of those classes decides the condition.
     """
+    _check_closed_pair(P, Q, iv)
+    return _common_factor(P, Q, indecomposable_factors(P, iv))
+
+
+def _check_closed_pair(P: Poly, Q: Poly, iv: Interval):
+    """Raise unless P and Q are nonconstant with equal endpoint values."""
     for name, F in (("P", P), ("Q", Q)):
         if F.is_constant():
             raise PreconditionError("%s must be nonconstant" % name)
         if F.eval(iv.a) != F.eval(iv.b):
             raise NotClosedError("not an [a,b]-closed polynomial (%s)" % name)
-    for W in indecomposable_factors(P, iv).factors:
+
+
+def _common_factor(P: Poly, Q: Poly, classes: FactorSet):
+    """``cc_check`` on P's indecomposable classes, already computed."""
+    for W in classes.factors:
         Qr = in_subring(Q, W)
         if Qr is not None:
             return Witness(W, in_subring(P, W), Qr)

@@ -3,9 +3,10 @@
 The zero space of P at degree d collects the polynomials Q of degree at
 most d, vanishing at both endpoints, that kill every moment of P.  It is
 computed two independent ways: as the kernel of an exact moment matrix
-(with a stabilization check, since only finitely many moments can be
-formed) and as the span of compositions with P's indecomposable factor
-classes; comparing the two is itself one of the verification steps.
+(certified by the composition span inside it, or else by a stabilization
+check, since only finitely many moments can be formed) and as the span of
+compositions with P's indecomposable factor classes; comparing the two is
+itself one of the verification steps.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .center import EPS_ON_Q, FORWARD, parametric_table
-from .decomp import cc_check, indecomposable_factors, is_definite
-from .errors import KernelNotStabilizedError, PreconditionError
+from .decomp import _check_closed_pair, _common_factor, indecomposable_factors, is_definite
+from .errors import FactorBoundError, KernelNotStabilizedError, PreconditionError
 from .field import Scalar
 from .linalg import echelon_kernel, rank, reduce_row, rref, span_rref
 from .poly import Interval, PCPair, Poly, definite_integral
@@ -106,10 +107,16 @@ def _canonical_span(polys, d: int):
 
 
 def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
-    """Exact basis of {Q in P_d with all moments of P against Q zero}.
+    """Exact basis of {Q in P_d with all moments of P against Q zero}: the
+    kernel of the moment rows i <= I_max, with a certificate that more rows
+    would not shrink it.
 
-    The kernel must be unchanged when five more moment rows are added,
-    otherwise a KernelNotStabilizedError reports both dimensions.
+    The certificate is a sandwich: the composition span S lies in the zero
+    space, which lies in the kernel of every block of moment rows, so when
+    the rows have rank r = codim S their kernel is S for every larger
+    block too.  Otherwise the kernel must be unchanged when five more
+    moment rows are added, or a KernelNotStabilizedError reports both
+    dimensions.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
@@ -117,8 +124,21 @@ def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
         raise PreconditionError("I_max must be nonnegative")
     if P.eval(iv.a) or P.eval(iv.b):
         raise PreconditionError("P must vanish at both endpoints")
-    mm = moment_matrix(P, iv, d, I_max + 5)
-    kernel = _stable_kernel(mm.M, len(mm.basis), I_max)
+    try:
+        r = (d - 1) - len(composition_sum_space(P, iv, d))
+    except (PreconditionError, FactorBoundError):  # P = 0 has no factor classes
+        r = d - 1
+    kernel = None
+    if r <= I_max:  # row 0 is zero, so the rank is at most I_max
+        mm = moment_matrix(P, iv, d, I_max)
+        echelon, pivots = rref(mm.M)
+        if len(pivots) > r:
+            raise AssertionError("composition span is not inside the moment kernel")
+        if len(pivots) == r:
+            kernel = echelon_kernel(echelon, pivots, len(mm.basis))
+    if kernel is None:
+        mm = moment_matrix(P, iv, d, I_max + 5)
+        kernel = _stable_kernel(mm.M, len(mm.basis), I_max)
     return _canonical_span([_combination(v, mm.basis) for v in kernel], d)
 
 
@@ -191,10 +211,12 @@ def parametric_structure_report(
     PCPair(P, Q, iv)
     p = P.derivative()
     q = Q.derivative()
-    witness = cc_check(P, Q, iv)
+    _check_closed_pair(P, Q, iv)
+    p_classes = indecomposable_factors(P, iv)
+    witness = _common_factor(P, Q, p_classes)
     table = parametric_table(p, q, iv, K, EPS_ON_Q, FORWARD)
     tpc = table.is_zero()
-    p_def = is_definite(P, iv)
+    p_def = p_classes.s == 1
     q_def = is_definite(Q, iv)
     p_in_zq = in_zero_space_of(Q, P, iv, N)
     q_in_zp = in_zero_space_of(P, Q, iv, N)

@@ -105,6 +105,16 @@ def test_zspace_not_stabilized_is_exit_1(tmp_path, capsys):
     )
 
 
+def test_zspace_of_the_zero_polynomial_is_the_whole_space(tmp_path, capsys):
+    obj = {"P": {"coeffs": ["0"]}, "interval": {"a": "-1", "b": "1"}}
+    path = write(tmp_path, "p.json", obj)
+    assert main(["zspace", "--input", path, "--degree", "4", "--imax", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "zero space at degree 4: dimension 3\n"
+        "  1 + (-1)*x^4\n  (1)*x + (-1)*x^3\n  (1)*x^2 + (-1)*x^4\n"
+    )
+
+
 def test_zspace_negative_imax_is_an_input_error(tmp_path, capsys):
     obj = {"P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}
     path = write(tmp_path, "p.json", obj)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from abellab.decomp import (
+    _divisors_between,
+    _top_candidate,
     cc_check,
     indecomposable_factors,
     is_chebyshev_conjugate,
@@ -12,7 +14,7 @@ from abellab.decomp import (
     structure_report,
 )
 from abellab.errors import NotClosedError, PreconditionError
-from abellab.field import ONE, rational, sqrtD
+from abellab.field import ONE, ZERO, rational, sqrtD
 from abellab.poly import Interval, Poly, chebyshev, in_subring
 
 IV11 = Interval(-1, 1)
@@ -224,3 +226,42 @@ def test_minimal_classes_by_degree_match_the_subring_reference():
         assert minimal.s == fs.s == len(minimal.factors)
         several += minimal.s > 1
     assert several >= 20
+
+
+def ref_top_candidate(Pp, m):
+    """The candidate as computed before the reversed-power recurrence: the
+    full power W^n once per unknown coefficient, read at x^(N-t)."""
+    N = Pp.degree
+    n = N // m
+    lc = Pp.leading()
+    w = [ZERO] * m + [ONE]
+    for t in range(1, m):
+        current = lc * (Poly(w) ** n)[N - t]
+        w[m - t] = (Pp[N - t] - current) / (lc * n)
+    return Poly(w)
+
+
+@pytest.mark.parametrize("surd", [False, True], ids=["Q", "Q(sqrt3)"])
+def test_top_candidate_matches_the_full_power_reference(surd):
+    rng = random.Random(31)
+
+    def coeff():
+        c = rational(rng.randint(-4, 4), rng.randint(1, 3))
+        return c + rng.randint(-2, 2) * sqrtD(3) if surd else c
+
+    cases = [P6, P10, X5X**4]
+    for _ in range(40):
+        # half dense polynomials (most candidates miss), half composites
+        if rng.random() < 0.5:
+            lead = rational(rng.choice([1, -2, 3]))
+            cases.append(Poly([coeff() for _ in range(rng.randint(2, 12))] + [lead]))
+        else:
+            W = Poly([coeff() for _ in range(rng.randint(2, 4))] + [ONE])
+            outer = Poly([coeff() for _ in range(rng.randint(1, 3))] + [rational(rng.choice([1, -2]))])
+            cases.append(outer.compose(W))
+    checked = 0
+    for Pp in cases:
+        for m in _divisors_between(Pp.degree):
+            assert _top_candidate(Pp, m) == ref_top_candidate(Pp, m)
+            checked += 1
+    assert checked > 100

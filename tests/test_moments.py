@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from abellab.errors import KernelNotStabilizedError, PreconditionError
 from abellab.field import ZERO, rational, sqrtD
-from abellab.linalg import kernel_basis, span_rref
+from abellab.linalg import kernel_basis, rank, span_rref
 from abellab.poly import definite_integral
 from abellab.moments import (
     chebyshev_zero_space_dim,
@@ -318,3 +318,93 @@ def test_report_reads_double_moments_off_the_two_zero_space_tests(monkeypatch):
         assert rep.double_moments == by_moment == double_moments_vanish(Pp, Q, iv, 8)
         seen.add((rep.P_in_Z_of_Q, rep.Q_in_Z_of_P))
     assert seen == {(True, True), (False, False), (False, True)}
+
+
+# -- the composition-span certificate -------------------------------------------
+
+GRID_BASES = [
+    (P6, IV3),
+    (P10, IV11),
+    (P(-1, 0, 1), IV11),
+    (P(0, -1, 0, 0, 0, 1), IV11),
+    (P(0, 1, 2).compose(P(0, -1, 0, 1)), IV11),  # S(W), W = x^3 - x
+]
+
+
+@pytest.fixture
+def row_bounds(monkeypatch):
+    """The moment bound of every moment_matrix call made by zero_space."""
+    import abellab.moments as moments
+
+    bounds = []
+    formed = moments.moment_matrix
+
+    def counted(Pb, iv, d, I_max):
+        bounds.append(I_max)
+        return formed(Pb, iv, d, I_max)
+
+    monkeypatch.setattr(moments, "moment_matrix", counted)
+    return bounds
+
+
+def test_certified_zero_space_matches_the_probe_reference(row_bounds):
+    grid = [
+        (Pb, iv, d, I_max)
+        for Pb, iv in GRID_BASES
+        for d in range(2, 11)
+        for I_max in sorted({0, 1, 2, d, 2 * d})
+    ]
+    # x^5 - x: the rows i <= I_max = codim S still have rank codim S - 1
+    grid += [(P(0, -1, 0, 0, 0, 1), IV11, 6, 4), (P(0, -1, 0, 0, 0, 1), IV11, 8, 6)]
+    branches = set()
+    for Pb, iv, d, I_max in grid:
+        row_bounds.clear()
+        assert outcome(zero_space, Pb, iv, d, I_max) == outcome(ref_zero_space, Pb, iv, d, I_max)
+        kinds = {(I_max,): "certificate", (I_max + 5,): "probe", (I_max, I_max + 5): "both"}
+        branches.add(kinds[tuple(row_bounds)])
+    assert branches == {"certificate", "probe", "both"}
+
+
+def test_certificate_needs_no_probe_rows(row_bounds):
+    # the rows i <= I_max are formed once, and the rows i <= r = codim S
+    # already have rank r, so fewer rows would certify the same kernel
+    for Pb, iv, degrees in ((P6, IV3, range(6, 13)), (P10, IV11, range(6, 10))):
+        for d in degrees:
+            row_bounds.clear()
+            basis = zero_space(Pb, iv, d, 2 * d)
+            assert row_bounds == [2 * d]
+            r = (d - 1) - len(basis)
+            assert rank(moment_matrix(Pb, iv, d, r).M) == r
+
+
+def test_a_span_outside_the_kernel_is_never_accepted(monkeypatch):
+    import abellab.moments as moments
+
+    # claim the whole endpoint-vanishing space as the composition span
+    monkeypatch.setattr(moments, "composition_sum_space", lambda Pb, iv, d: pspace_basis(iv, d))
+    with pytest.raises(AssertionError):
+        zero_space(P(-1, 0, 1), IV11, 4, 8)
+
+
+def test_zero_polynomial_has_the_whole_space():
+    with pytest.raises(PreconditionError):
+        composition_sum_space(Poly.zero(), IV11, 4)
+    basis = zero_space(Poly.zero(), IV11, 4, 3)
+    assert len(basis) == 3
+    assert basis == ref_zero_space(Poly.zero(), IV11, 4, 3)
+
+
+def test_report_computes_the_factor_classes_of_P_once(monkeypatch):
+    import abellab.decomp as decomp
+
+    calls = []
+    enumerate_classes = decomp.right_factors
+
+    def counted(F, iv):
+        calls.append(F)
+        return enumerate_classes(F, iv)
+
+    monkeypatch.setattr(decomp, "right_factors", counted)
+    rep = parametric_structure_report(P6, chebyshev(3), IV3, 6, 12)
+    assert calls == [P6, chebyshev(3)]
+    assert rep.cc is not None and not rep.P_definite and rep.Q_definite
