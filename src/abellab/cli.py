@@ -30,7 +30,7 @@ from .center import (
 )
 from .decomp import cc_check, is_definite, structure_report
 from .errors import AbelLabError, FieldMismatchError, PreconditionError
-from .field import Scalar, _squarefree
+from .field import Scalar, check_radicand
 from .moments import _moments_upto, parametric_structure_report, zero_space
 from .serialize import (
     InputError,
@@ -78,8 +78,10 @@ def _load(path: str) -> dict:
     if D is not None:
         if not _is_int(D):
             raise InputError("field 'D' must be an integer")
-        if D <= 1 or not _squarefree(D):
-            raise InputError("field 'D' must be a squarefree integer > 1, got %d" % D)
+        try:
+            check_radicand(D)
+        except ValueError as exc:
+            raise InputError("field 'D': %s" % exc) from exc
     return obj
 
 

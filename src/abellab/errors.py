@@ -17,12 +17,12 @@ class ConstantFactorError(AbelLabError, ValueError):
     """A composition factor of degree zero was supplied."""
 
 
-class NotClosedError(AbelLabError, ValueError):
-    """Polynomial does not take equal values at the interval endpoints."""
-
-
 class PreconditionError(AbelLabError, ValueError):
     """An operation was called outside its stated domain."""
+
+
+class NotClosedError(PreconditionError):
+    """Polynomial does not take equal values at the interval endpoints."""
 
 
 class KernelNotStabilizedError(AbelLabError, RuntimeError):

@@ -35,7 +35,6 @@ def _as_rational(x):
     raise TypeError("cannot use a %s as an exact scalar" % type(x).__name__)
 
 
-@lru_cache
 def _squarefree(d: int) -> bool:
     """Is d free of square factors?
 
@@ -56,6 +55,19 @@ def _squarefree(d: int) -> bool:
         f += 2
     r = isqrt(d)
     return d == 1 or r * r != d
+
+
+@lru_cache
+def check_radicand(D: int) -> None:
+    """Raise ValueError unless D is a squarefree integer with 1 < D < 10^18.
+
+    Below the bound the trial division in _squarefree takes at most
+    5 * 10^5 steps; a product of two 20-digit primes would take 10^13.
+    """
+    if D >= 10**18:
+        raise ValueError("D must be below 10^18, got %d" % D)
+    if D <= 1 or not _squarefree(D):
+        raise ValueError("D must be a squarefree integer > 1, got %d" % D)
 
 
 def _join(da, db):
@@ -79,17 +91,12 @@ class Scalar:
     def __init__(self, rat=0, irr=0, D=None):
         rat = _as_rational(rat) if not isinstance(rat, _Q) else rat
         irr = _as_rational(irr) if not isinstance(irr, _Q) else irr
-        if irr:
-            if D is None:
-                raise ValueError("irrational part requires an explicit D")
-            if D <= 1:
-                raise ValueError("D must be a squarefree integer > 1")
-            if not _squarefree(D):
-                raise ValueError("D must be squarefree, got %d" % D)
-        else:
-            if D is not None and (D <= 1 or not _squarefree(D)):
-                raise ValueError("D must be a squarefree integer > 1")
-            D = None
+        if D is not None:
+            check_radicand(D)
+            if not irr:
+                D = None
+        elif irr:
+            raise ValueError("irrational part requires an explicit D")
         self.rat = rat
         self.irr = irr
         self.D = D

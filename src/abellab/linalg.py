@@ -58,16 +58,6 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def reduce_row(echelon, pivots, row):
-    """``row`` minus its components along a reduced echelon form: zero
-    exactly when the row lies in the echelon rows' span."""
-    for e, pc in zip(echelon, pivots):
-        f = row[pc]
-        if f:
-            row = [a - f * b for a, b in zip(row, e)]
-    return row
-
-
 def echelon_kernel(echelon, pivots, ncols: int):
     """Kernel basis read off a reduced echelon form with ``ncols`` columns:
     one vector per free column, with a 1 in the free slot and the negated
@@ -118,8 +108,4 @@ def span_rref(vectors):
     Two subspaces are equal exactly when their span_rref outputs are equal,
     which is how subspace comparisons are done throughout.
     """
-    vecs = [list(v) for v in vectors if any(v)]
-    if not vecs:
-        return []
-    rows, _ = rref(vecs)
-    return rows
+    return rref(vectors)[0]

@@ -17,7 +17,7 @@ from .center import EPS_ON_Q, FORWARD, parametric_table
 from .decomp import _check_closed_pair, _common_factor, indecomposable_factors, is_definite
 from .errors import FactorBoundError, KernelNotStabilizedError, PreconditionError
 from .field import Scalar
-from .linalg import echelon_kernel, rank, reduce_row, rref, span_rref
+from .linalg import echelon_kernel, rank, rref, span_rref
 from .poly import Interval, PCPair, Poly, definite_integral
 
 
@@ -60,9 +60,6 @@ def pspace_basis(iv: Interval, d: int):
 class MomentMatrix:
     """Rows = moment index, columns = the fixed endpoint-vanishing basis."""
 
-    P: Poly
-    iv: Interval
-    d: int
     I_max: int
     M: list
     basis: tuple
@@ -71,24 +68,7 @@ class MomentMatrix:
 def moment_matrix(P: Poly, iv: Interval, d: int, I_max: int) -> MomentMatrix:
     basis = pspace_basis(iv, d)
     M = _moments_upto(P, [B.derivative() for B in basis], iv, I_max)
-    return MomentMatrix(P=P, iv=iv, d=d, I_max=I_max, M=M, basis=tuple(basis))
-
-
-def _stable_kernel(rows, ncols: int, I_max: int):
-    """Kernel basis of the first I_max + 1 rows, certified by the rest.
-
-    The first rows are eliminated once and every later (probe) row is
-    reduced against that echelon form; the kernel is stable exactly when
-    no probe row adds rank.  Otherwise a KernelNotStabilizedError reports
-    both dimensions.
-    """
-    echelon, pivots = rref(rows[: I_max + 1])
-    residues = [reduce_row(echelon, pivots, row) for row in rows[I_max + 1 :]]
-    residues = [r for r in residues if any(r)]
-    if residues:
-        dim = ncols - len(pivots)
-        raise KernelNotStabilizedError(dim, dim - rank(residues), I_max)
-    return echelon_kernel(echelon, pivots, ncols)
+    return MomentMatrix(I_max=I_max, M=M, basis=tuple(basis))
 
 
 def _combination(coeffs, polys) -> Poly:
@@ -114,9 +94,9 @@ def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
     The certificate is a sandwich: the composition span S lies in the zero
     space, which lies in the kernel of every block of moment rows, so when
     the rows have rank r = codim S their kernel is S for every larger
-    block too.  Otherwise the kernel must be unchanged when five more
+    block too.  Below rank r the rank must be unchanged when five more
     moment rows are added, or a KernelNotStabilizedError reports both
-    dimensions.
+    kernel dimensions.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
@@ -128,17 +108,16 @@ def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
         r = (d - 1) - len(composition_sum_space(P, iv, d))
     except (PreconditionError, FactorBoundError):  # P = 0 has no factor classes
         r = d - 1
-    kernel = None
-    if r <= I_max:  # row 0 is zero, so the rank is at most I_max
-        mm = moment_matrix(P, iv, d, I_max)
-        echelon, pivots = rref(mm.M)
-        if len(pivots) > r:
-            raise AssertionError("composition span is not inside the moment kernel")
-        if len(pivots) == r:
-            kernel = echelon_kernel(echelon, pivots, len(mm.basis))
-    if kernel is None:
-        mm = moment_matrix(P, iv, d, I_max + 5)
-        kernel = _stable_kernel(mm.M, len(mm.basis), I_max)
+    mm = moment_matrix(P, iv, d, I_max)
+    echelon, pivots = rref(mm.M)
+    n = len(mm.basis)
+    if len(pivots) > r:
+        raise AssertionError("composition span is not inside the moment kernel")
+    if len(pivots) < r:
+        probe = rank(moment_matrix(P, iv, d, I_max + 5).M)
+        if probe > len(pivots):
+            raise KernelNotStabilizedError(n - len(pivots), n - probe, I_max)
+    kernel = echelon_kernel(echelon, pivots, n)
     return _canonical_span([_combination(v, mm.basis) for v in kernel], d)
 
 

@@ -167,8 +167,8 @@ class Poly:
         return Poly([c])
 
     @staticmethod
-    def monomial(power: int, c=1) -> "Poly":
-        return Poly([0] * power + [c])
+    def monomial(power: int) -> "Poly":
+        return Poly([0] * power + [1])
 
     @property
     def coeffs(self):

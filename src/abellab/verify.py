@@ -23,13 +23,12 @@ from .center import (
     tabulated_coefficient,
 )
 from .decomp import cc_check, indecomposable_factors, is_definite, structure_report
-from .errors import KernelNotStabilizedError, NotClosedError
+from .errors import NotClosedError
 from .field import ONE, ZERO, Scalar, rational, sqrtD
-from .linalg import kernel_basis, solve
+from .linalg import echelon_kernel, kernel_basis, rank, rref, solve
 from .moments import (
     _combination,
     _moments_upto,
-    _stable_kernel,
     chebyshev_zero_space_dim,
     moment,
     parametric_structure_report,
@@ -61,13 +60,13 @@ class CriterionResult:
 # -- random generators ------------------------------------------------------------
 
 
-def _rand_scalar(rng, lo=-3, hi=3) -> Scalar:
-    return rational(rng.randint(lo, hi), rng.choice([1, 1, 2, 3]))
+def _rand_scalar(rng) -> Scalar:
+    return rational(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
 
 
-def _rand_nonzero(rng, lo=-3, hi=3) -> Scalar:
+def _rand_nonzero(rng) -> Scalar:
     while True:
-        v = _rand_scalar(rng, lo, hi)
+        v = _rand_scalar(rng)
         if v:
             return v
 
@@ -113,19 +112,19 @@ def _rand_pcpair(rng, max_deg: int):
 _TABLE_CACHE: dict = {}
 
 
-def _stratification_samples(seed: int, count: int = 200, K: int = 10):
-    key = (seed, count, K)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+def _stratification_samples(seed: int):
+    """200 random primitive pairs of degree <= 6 with both K = 10 tables."""
+    if seed in _TABLE_CACHE:
+        return _TABLE_CACHE[seed]
     rng = random.Random(seed)
     samples = []
-    for _ in range(count):
+    for _ in range(200):
         P, Q, iv = _rand_pcpair(rng, 6)
         p, q = P.derivative(), Q.derivative()
-        eps = parametric_table(p, q, iv, K, EPS_ON_Q, FORWARD)
-        delta = parametric_table(p, q, iv, K, DELTA_ON_P, FORWARD)
+        eps = parametric_table(p, q, iv, 10, EPS_ON_Q, FORWARD)
+        delta = parametric_table(p, q, iv, 10, DELTA_ON_P, FORWARD)
         samples.append((P, Q, iv, eps, delta))
-    _TABLE_CACHE[key] = samples
+    _TABLE_CACHE[seed] = samples
     return samples
 
 
@@ -778,14 +777,15 @@ def a10_prime_support(seed: int) -> CriterionResult:
         endpoint = [[iv.a**e for e in exps], [iv.b**e for e in exps]]
         monomials = [Poly.monomial(e) for e in exps]
         qbasis = [_combination(v, monomials) for v in kernel_basis(endpoint, len(exps))]
-        # moment system restricted to that basis, with stabilization margin
+        # moment system restricted to that basis: the kernel of the rows
+        # i <= I_max, stable when five more rows add no rank
         I_max = 24
         rows = _moments_upto(P, [f.derivative() for f in qbasis], iv, I_max + 5)
-        try:
-            full = _stable_kernel(rows, len(qbasis), I_max)
-        except KernelNotStabilizedError:
+        echelon, pivots = rref(rows[: I_max + 1])
+        if rank(echelon + rows[I_max + 1 :]) > len(pivots):
             bad.append("sample %d: moment kernel not stabilized" % idx)
             continue
+        full = echelon_kernel(echelon, pivots, len(qbasis))
         kernel_sizes.append(len(full))
         for v in full:
             Q = _combination(v, qbasis)

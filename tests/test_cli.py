@@ -577,6 +577,49 @@ def test_mixed_radicands_are_an_input_error(command, obj, tmp_path, capsys):
     assert_input_error(capsys, [command, "--input", path], "field mismatch: sqrt(3) vs sqrt(5)")
 
 
+NOT_CLOSED = {"P": {"coeffs": ["0", "1"]}, "Q": {"coeffs": ["0", "0", "1"]}, "interval": {"a": "0", "b": "1"}}
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("factors", "input error: not an [a,b]-closed polynomial\n"),
+        ("cc", "input error: not an [a,b]-closed polynomial (P)\n"),
+    ],
+    ids=["factors", "cc"],
+)
+def test_non_closed_input_is_an_input_error(command, err, tmp_path, capsys):
+    assert main([command, "--input", write(tmp_path, "nc.json", NOT_CLOSED)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# (10^12 + 39)(10^12 + 61): trial division up to its cube root is 5 * 10^7 steps
+HUGE_D = 1000000000100000000002379
+
+
+@pytest.mark.parametrize(
+    "obj, err",
+    [
+        (
+            {"D": HUGE_D, "P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}},
+            "input error: field 'D': D must be below 10^18, got %d\n" % HUGE_D,
+        ),
+        (
+            {"D": 10**18, "P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}},
+            "input error: field 'D': D must be below 10^18, got %d\n" % 10**18,
+        ),
+        (
+            {"P": {"coeffs": ["-1", "0", "1*r%d" % HUGE_D]}, "interval": {"a": "-1", "b": "1"}},
+            "input error: D must be below 10^18, got %d\n" % HUGE_D,
+        ),
+    ],
+    ids=["D-field", "D-field-at-bound", "literal"],
+)
+def test_radicand_at_or_above_the_bound_is_an_input_error(obj, err, tmp_path, capsys):
+    assert main(["definite", "--input", write(tmp_path, "d.json", obj)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 # Primitive pairs, a pair with Q(a) != Q(b) (order 0 with the parameter on
 # p), and two pairs whose tables vanish: a composition pair and Q = 0.
 ORDER_PAIRS = [

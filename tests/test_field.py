@@ -9,6 +9,7 @@ from abellab.field import (
     ZERO,
     Scalar,
     _squarefree,
+    check_radicand,
     format_scalar,
     parse_scalar,
     rational,
@@ -57,6 +58,15 @@ def test_d_validation():
         Scalar(0, 1, 12)
     with pytest.raises(ValueError):
         Scalar(0, 1, None)
+    # the radicand bound: 10^18 - 11 is the largest prime below it
+    assert Scalar(0, 1, 10**18 - 11).D == 10**18 - 11
+    for D in (10**18, (10**12 + 39) * (10**12 + 61)):
+        with pytest.raises(ValueError, match=r"below 10\^18"):
+            Scalar(0, 1, D)
+        with pytest.raises(ValueError, match=r"below 10\^18"):
+            Scalar(1, 0, D)
+        with pytest.raises(ValueError, match=r"below 10\^18"):
+            check_radicand(D)
 
 
 def test_coerce_rejects_floats():

@@ -77,6 +77,13 @@ def test_span_rref_is_canonical():
     assert span_rref(a) == span_rref(b)
 
 
+def test_span_rref_drops_zero_rows():
+    assert span_rref([]) == []
+    assert span_rref([[0, 0]]) == []
+    mixed = [[0, 0, 0], [2, 4, 0], [0, 0, 0], [1, 2, 3], [0, 0, 0]]
+    assert span_rref(mixed) == [[ONE, rational(2), ZERO], [ZERO, ZERO, ONE]]
+
+
 def test_entry_count_validation():
     ragged = [[ONE, ZERO], [ONE]]
     with pytest.raises(ValueError):

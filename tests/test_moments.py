@@ -360,9 +360,10 @@ def test_certified_zero_space_matches_the_probe_reference(row_bounds):
     for Pb, iv, d, I_max in grid:
         row_bounds.clear()
         assert outcome(zero_space, Pb, iv, d, I_max) == outcome(ref_zero_space, Pb, iv, d, I_max)
-        kinds = {(I_max,): "certificate", (I_max + 5,): "probe", (I_max, I_max + 5): "both"}
+        # the rows i <= I_max are always formed; the probe rows only below rank r
+        kinds = {(I_max,): "certificate", (I_max, I_max + 5): "probe"}
         branches.add(kinds[tuple(row_bounds)])
-    assert branches == {"certificate", "probe", "both"}
+    assert branches == {"certificate", "probe"}
 
 
 def test_certificate_needs_no_probe_rows(row_bounds):
