@@ -2,9 +2,10 @@
 
 For a base polynomial P, the polynomials Q killing every moment
 int P^i Q' form a vector space.  It is computed both as an exact moment
-kernel (with a stabilization certificate) and as the span of
-compositions with P's factor classes; the two agree, and for the
-degree-6 Chebyshev base the dimension has a closed form.
+kernel, returned only when the composition span certifies it (otherwise
+a larger moment count is asked for), and as the span of compositions
+with P's factor classes; the two agree, and for the degree-6 Chebyshev
+base the dimension has a closed form.
 
 Run:  python demos/05_moment_zero_spaces.py
 """

@@ -217,9 +217,6 @@ class CenterTable:
     def entry(self, k: int, j: int) -> Scalar:
         return self.entries.get((k, j), ZERO)
 
-    def support(self):
-        return sorted(self.entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 

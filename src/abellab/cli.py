@@ -375,17 +375,25 @@ def build_parser(argv=()) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[:1]).parse_args(argv)
+    # exact inputs and results may run past Python's int/str digit limit
+    # (3.10.7 and later): lift it for this call, then restore the caller's
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         obj = None if args.command == "verify" else _load(args.input)
         code, payload, lines = args.fn(args, obj)
+        print(dumps(payload) if args.json else "\n".join(lines))
+        return code
     except (InputError, PreconditionError, FieldMismatchError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except AbelLabError as exc:
         print("computation failed: %s" % exc, file=sys.stderr)
         return 1
-    print(dumps(payload) if args.json else "\n".join(lines))
-    return code
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -28,13 +28,13 @@ class NotClosedError(PreconditionError):
 class KernelNotStabilizedError(AbelLabError, RuntimeError):
     """Moment kernel still shrinking; a larger moment count is needed."""
 
-    def __init__(self, dim_at_imax, dim_at_probe, i_max):
+    def __init__(self, dim_at_imax, dim_of_span, i_max):
         self.dim_at_imax = dim_at_imax
-        self.dim_at_probe = dim_at_probe
+        self.dim_of_span = dim_of_span
         self.i_max = i_max
         super().__init__(
-            "kernel not stabilized: dimension %d at moments i <= %d vs %d at i <= %d; "
-            "increase the moment count" % (dim_at_imax, i_max, dim_at_probe, i_max + 5)
+            "kernel not stabilized: dimension %d at moments i <= %d vs %d for the "
+            "composition span; increase the moment count" % (dim_at_imax, i_max, dim_of_span)
         )
 
 

@@ -187,9 +187,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.rat) or bool(self.irr)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __eq__(self, other):
         if isinstance(other, (int, _Q)):
             return not self.irr and self.rat == other

@@ -2,11 +2,11 @@
 
 The zero space of P at degree d collects the polynomials Q of degree at
 most d, vanishing at both endpoints, that kill every moment of P.  It is
-computed two independent ways: as the kernel of an exact moment matrix
-(certified by the composition span inside it, or else by a stabilization
-check, since only finitely many moments can be formed) and as the span of
-compositions with P's indecomposable factor classes; comparing the two is
-itself one of the verification steps.
+computed two independent ways: as the kernel of an exact moment matrix,
+returned only when the composition span inside it certifies that no
+further moment would shrink it, and as the span of compositions with P's
+indecomposable factor classes; comparing the two is itself one of the
+verification steps.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from .center import EPS_ON_Q, FORWARD, parametric_table
 from .decomp import _check_closed_pair, _common_factor, indecomposable_factors, is_definite
-from .errors import FactorBoundError, KernelNotStabilizedError, PreconditionError
+from .errors import KernelNotStabilizedError, PreconditionError
 from .field import Scalar
-from .linalg import echelon_kernel, rank, rref, span_rref
+from .linalg import echelon_kernel, rref, span_rref
 from .poly import Interval, PCPair, Poly, definite_integral
 
 
@@ -88,35 +88,27 @@ def _canonical_span(polys, d: int):
 
 def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
     """Exact basis of {Q in P_d with all moments of P against Q zero}: the
-    kernel of the moment rows i <= I_max, with a certificate that more rows
-    would not shrink it.
+    kernel of the moment rows i <= I_max, returned only when certified.
 
     The certificate is a sandwich: the composition span S lies in the zero
     space, which lies in the kernel of every block of moment rows, so when
     the rows have rank r = codim S their kernel is S for every larger
-    block too.  Below rank r the rank must be unchanged when five more
-    moment rows are added, or a KernelNotStabilizedError reports both
-    kernel dimensions.
+    block too.  Below rank r the kernel is strictly larger than S, and a
+    KernelNotStabilizedError reports both dimensions.  Every moment of the
+    zero polynomial vanishes, so there r = 0.
     """
     if d < 2:
         raise PreconditionError("d must be at least 2")
     if I_max < 0:
         raise PreconditionError("I_max must be nonnegative")
-    if P.eval(iv.a) or P.eval(iv.b):
-        raise PreconditionError("P must vanish at both endpoints")
-    try:
-        r = (d - 1) - len(composition_sum_space(P, iv, d))
-    except (PreconditionError, FactorBoundError):  # P = 0 has no factor classes
-        r = d - 1
+    r = (d - 1) - len(composition_sum_space(P, iv, d)) if P else 0
     mm = moment_matrix(P, iv, d, I_max)
     echelon, pivots = rref(mm.M)
     n = len(mm.basis)
     if len(pivots) > r:
         raise AssertionError("composition span is not inside the moment kernel")
     if len(pivots) < r:
-        probe = rank(moment_matrix(P, iv, d, I_max + 5).M)
-        if probe > len(pivots):
-            raise KernelNotStabilizedError(n - len(pivots), n - probe, I_max)
+        raise KernelNotStabilizedError(n - len(pivots), n - r, I_max)
     kernel = echelon_kernel(echelon, pivots, n)
     return _canonical_span([_combination(v, mm.basis) for v in kernel], d)
 

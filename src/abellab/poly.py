@@ -304,9 +304,6 @@ class Poly:
         den = self.den * qk
         return Scalar(Fraction(r, den), Fraction(s, den), D)
 
-    def __call__(self, x) -> Scalar:
-        return self.eval(x)
-
     def derivative(self) -> "Poly":
         num = [x * i for i, x in enumerate(self.num)][1:]
         irr = [y * i for i, y in enumerate(self.irr)][1:]

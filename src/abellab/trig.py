@@ -80,9 +80,6 @@ class TrigPoly:
     def __bool__(self):
         return bool(self.R) or bool(self.I)
 
-    def is_zero(self) -> bool:
-        return not self
-
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
@@ -172,9 +169,6 @@ class PiScalar:
     """An exact multiple of pi; every full-period integral lands here."""
 
     coeff: Scalar
-
-    def is_zero(self) -> bool:
-        return not self.coeff
 
     def __bool__(self):
         return bool(self.coeff)

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import abellab.center as center
 import abellab.cli as cli
 from abellab import verify
-from abellab.center import DELTA_ON_P, EPS_ON_Q, infinitesimal_order, parametric_table
+from abellab.center import DELTA_ON_P, EPS_ON_Q, FORWARD, infinitesimal_order, parametric_table
 from abellab.cli import SUITE_NAMES, build_parser, main
 from abellab.moments import moment
 from abellab.poly import Interval
@@ -101,7 +102,7 @@ def test_zspace_not_stabilized_is_exit_1(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "computation failed: kernel not stabilized: dimension 3 at moments i <= 0 "
-        "vs 2 at i <= 5; increase the moment count\n"
+        "vs 2 for the composition span; increase the moment count\n"
     )
 
 
@@ -674,3 +675,87 @@ def test_center_table_builds_one_table(monkeypatch, tmp_path, capsys):
         assert main(["center-table", "--input", path, "--kmax", "6", "--direction", direction]) == 0
         assert len(calls) == 1
     capsys.readouterr()
+
+
+# -- numbers past Python's int/str digit limit (4,300 digits since 3.10.7) ------
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="this Python has no int/str digit limit"
+)
+
+# P = c (1 - x^2): its fifth power, and the degree-9 table entries, have more
+# than 4,300 digits
+BIG_C = "7" + "3" * 1500
+
+
+def scaled_pair(c):
+    return {
+        "P": {"coeffs": [c, "0", "-" + c]},
+        "Q": {"coeffs": ["0", "-1", "0", "1"]},
+        "interval": {"a": "-1", "b": "1"},
+    }
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's int/str digit limit, put back after the test."""
+    limit = sys.get_int_max_str_digits()
+    yield limit
+    sys.set_int_max_str_digits(limit)
+
+
+@needs_digit_limit
+def test_long_moments_are_printed_exactly(tmp_path, capsys, digit_limit):
+    outs = []
+    for c in (BIG_C, "1"):
+        path = write(tmp_path, "pair.json", scaled_pair(c))
+        assert main(["moments", "--input", path, "--nmax", "5", "--json"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+        assert sys.get_int_max_str_digits() == digit_limit
+    big, one = outs
+    assert max(len(v) for v in big["m_PQ"].values()) > 4300
+    sys.set_int_max_str_digits(0)
+    c = int(BIG_C)
+    for i in map(str, range(6)):
+        assert Fraction(big["m_PQ"][i]) == c ** int(i) * Fraction(one["m_PQ"][i])
+        assert Fraction(big["m_QP"][i]) == c * Fraction(one["m_QP"][i])
+
+
+@needs_digit_limit
+def test_long_table_entries_are_printed_exactly(tmp_path, capsys, digit_limit):
+    obj = scaled_pair(BIG_C)
+    path = write(tmp_path, "pair.json", obj)
+    argv = ["center-table", "--input", path, "--kmax", "9", "--param", "delta", "--json"]
+    assert main(argv) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert sys.get_int_max_str_digits() == digit_limit
+    assert max(len(v) for v in entries.values()) > 4300
+    sys.set_int_max_str_digits(0)
+    P, Q = poly_from_json(obj["P"]), poly_from_json(obj["Q"])
+    table = parametric_table(P.derivative(), Q.derivative(), Interval(-1, 1), 9, DELTA_ON_P, FORWARD)
+    assert entries == {"%d,%d" % kj: scalar_to_text(v) for kj, v in table.entries.items()}
+
+
+@needs_digit_limit
+def test_long_literals_are_read(tmp_path, capsys, digit_limit):
+    big = "1" + "0" * 4400
+    huge_d = '{"D": %s, "P": {"coeffs": ["-1", "0", "1"]}, "interval": {"a": "-1", "b": "1"}}' % big
+    path = tmp_path / "d.json"
+    path.write_text(huge_d)
+    assert main(["definite", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", "input error: field 'D': D must be below 10^18, got %s\n" % big)
+    path = write(tmp_path, "p.json", {"P": {"coeffs": ["-" + big, "0", big]}, "interval": {"a": "-1", "b": "1"}})
+    assert main(["zspace", "--input", path, "--degree", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+@needs_digit_limit
+def test_the_callers_digit_limit_is_restored(tmp_path, capsys, digit_limit):
+    sys.set_int_max_str_digits(5000)
+    assert main(["zspace", "--input", write(tmp_path, "p.json", scaled_pair("1")), "--degree", "4"]) == 0
+    assert main(["zspace", "--input", str(tmp_path / "missing.json"), "--degree", "4"]) == 2
+    with pytest.raises(SystemExit):
+        main(["zspace", "--bogus"])
+    capsys.readouterr()
+    assert sys.get_int_max_str_digits() == 5000

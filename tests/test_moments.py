@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abellab.errors import KernelNotStabilizedError, PreconditionError
+from abellab.errors import FactorBoundError, KernelNotStabilizedError, PreconditionError
 from abellab.field import ZERO, rational, sqrtD
 from abellab.linalg import kernel_basis, rank, span_rref
 from abellab.poly import definite_integral
@@ -196,7 +196,8 @@ def test_structure_report_chebyshev_pair():
 def ref_zero_space(Pb, iv, d, I_max):
     """Zero space as it was computed before the single elimination: the
     kernels of the cut and of the probe moment matrix, each eliminated in
-    full, compared by dimension."""
+    full, compared by dimension.  On a raise the probe's kernel dimension
+    stands where zero_space reports the composition span's."""
     basis = pspace_basis(iv, d)
     derivs = [B.derivative() for B in basis]
     rows = []
@@ -261,7 +262,7 @@ def outcome(fn, *args):
     try:
         return "basis", fn(*args)
     except KernelNotStabilizedError as exc:
-        return "not stabilized", (exc.dim_at_imax, exc.dim_at_probe, exc.i_max, str(exc))
+        return "not stabilized", (exc.dim_at_imax, exc.i_max)
 
 
 @pytest.mark.parametrize("surd", [False, True], ids=["Q", "Q(sqrt3)"])
@@ -359,11 +360,12 @@ def test_certified_zero_space_matches_the_probe_reference(row_bounds):
     branches = set()
     for Pb, iv, d, I_max in grid:
         row_bounds.clear()
-        assert outcome(zero_space, Pb, iv, d, I_max) == outcome(ref_zero_space, Pb, iv, d, I_max)
-        # the rows i <= I_max are always formed; the probe rows only below rank r
-        kinds = {(I_max,): "certificate", (I_max, I_max + 5): "probe"}
-        branches.add(kinds[tuple(row_bounds)])
-    assert branches == {"certificate", "probe"}
+        got = outcome(zero_space, Pb, iv, d, I_max)
+        # one block of rows, i <= I_max, whether the kernel is returned or refused
+        assert row_bounds == [I_max]
+        assert got == outcome(ref_zero_space, Pb, iv, d, I_max)
+        branches.add(got[0])
+    assert branches == {"basis", "not stabilized"}
 
 
 def test_certificate_needs_no_probe_rows(row_bounds):
@@ -384,6 +386,30 @@ def test_a_span_outside_the_kernel_is_never_accepted(monkeypatch):
     # claim the whole endpoint-vanishing space as the composition span
     monkeypatch.setattr(moments, "composition_sum_space", lambda Pb, iv, d: pspace_basis(iv, d))
     with pytest.raises(AssertionError):
+        zero_space(P(-1, 0, 1), IV11, 4, 8)
+
+
+def test_a_refusal_reports_the_composition_span_dimension():
+    refused = 0
+    for Pb, iv in GRID_BASES:
+        for d in range(2, 11):
+            try:
+                zero_space(Pb, iv, d, 1)
+            except KernelNotStabilizedError as exc:
+                refused += 1
+                assert exc.dim_of_span == len(composition_sum_space(Pb, iv, d))
+                assert exc.dim_at_imax > exc.dim_of_span and exc.i_max == 1
+    assert refused
+
+
+def test_a_factor_bound_error_is_not_swallowed(monkeypatch):
+    import abellab.moments as moments
+
+    def too_many_classes(Pb, iv, d):
+        raise FactorBoundError("found 4 indecomposable factor classes")
+
+    monkeypatch.setattr(moments, "composition_sum_space", too_many_classes)
+    with pytest.raises(FactorBoundError):
         zero_space(P(-1, 0, 1), IV11, 4, 8)
 
 
