@@ -30,8 +30,9 @@ from .center import (
 )
 from .decomp import cc_check, is_definite, structure_report
 from .errors import AbelLabError, FieldMismatchError, PreconditionError
-from .field import Scalar, check_radicand
+from .field import Scalar, _join, check_radicand
 from .moments import _moments_upto, parametric_structure_report, zero_space
+from .poly import Interval, Poly
 from .serialize import (
     InputError,
     dumps,
@@ -44,6 +45,7 @@ from .serialize import (
     trig_to_json,
 )
 from .trig import (
+    TrigPoly,
     build_family,
     first_moments_vanish,
     modify_family,
@@ -85,8 +87,18 @@ def _load(path: str) -> dict:
     return obj
 
 
+def _one_field(values) -> None:
+    """Raise FieldMismatchError unless the parsed polynomials, intervals and
+    trig polynomials share one radicand: a command need not combine them all."""
+    D = None
+    for v in values:
+        parts = (v.a, v.b) if isinstance(v, Interval) else (v.R, v.I) if isinstance(v, TrigPoly) else (v,)
+        for part in parts:
+            D = _join(D, part.D)
+
+
 def _fields(obj: dict, *names, parse=poly_from_json) -> list:
-    """The named input fields in order, over Q(sqrt D) for the input's D.
+    """The named input fields in order, over one field Q(sqrt D).
 
     "interval" is read as an interval and every other name with ``parse``;
     a missing or falsy value is an input error.
@@ -98,6 +110,7 @@ def _fields(obj: dict, *names, parse=poly_from_json) -> list:
         if not raw:
             raise InputError("missing field %r" % name)
         values.append((interval_from_json if name == "interval" else parse)(raw, D))
+    _one_field(values)
     return values
 
 
@@ -276,9 +289,9 @@ def cmd_trig_family(args, obj):
         return out
 
     P, Q = build_family(d1, d2, spec_table("p"), spec_table("q"))
-    if "R" in obj:
-        R = poly_from_json(obj["R"], D)
-        Q = modify_family(Q, d2, R)
+    R = poly_from_json(obj["R"], D) if "R" in obj else Poly.zero()
+    _one_field([P, Q, R])
+    Q = modify_family(Q, d2, R)
     imax = args.imax if args.imax is not None else 12
     fam_ok = first_moments_vanish(P, Q, imax)
     cert = non_cc_certificate(P, Q, imax, imax)

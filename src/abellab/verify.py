@@ -23,12 +23,11 @@ from .center import (
     tabulated_coefficient,
 )
 from .decomp import cc_check, indecomposable_factors, is_definite, structure_report
-from .errors import NotClosedError
+from .errors import KernelNotStabilizedError, NotClosedError
 from .field import ONE, ZERO, Scalar, rational, sqrtD
-from .linalg import echelon_kernel, kernel_basis, rank, rref, solve
+from .linalg import kernel_basis, solve
 from .moments import (
     _combination,
-    _moments_upto,
     chebyshev_zero_space_dim,
     moment,
     parametric_structure_report,
@@ -105,6 +104,15 @@ def _rand_pcpoly(rng, iv: Interval, max_deg: int, dense=False) -> Poly:
 def _rand_pcpair(rng, max_deg: int):
     iv = _rand_interval(rng)
     return _rand_pcpoly(rng, iv, max_deg), _rand_pcpoly(rng, iv, max_deg), iv
+
+
+# -- the two benchmark bases (A4, A5 and A6) ----------------------------------------
+
+# T6 + 1 on [-sqrt(3)/2, sqrt(3)/2], over Q(sqrt 3): factor classes T2 and T3
+_HALF_R3 = sqrtD(3) / 2
+_P6, _IV3 = chebyshev(6) + Poly.one(), Interval(-_HALF_R3, _HALF_R3)
+# x^2 (x^4 - 1)^2 on [-1, 1]: factor classes x^2 and x^5 - x
+_P10, _IV11 = Poly([0, 0, 1]) * Poly([-1, 0, 0, 0, 1]) ** 2, Interval(-1, 1)
 
 
 # -- shared sample/table cache (A1 and A2 use the same samples) ---------------------
@@ -305,10 +313,7 @@ def a4_melnikov(seed: int):
 
     # (iii) fit constants on moment-vanishing samples from the degree-6
     # Chebyshev family (all arithmetic in Q(sqrt 3))
-    r3 = sqrtD(3)
-    half = ONE / Scalar.coerce(2)
-    iv3 = Interval(-r3 * half, r3 * half)
-    P6 = chebyshev(6) + Poly.one()
+    P6, iv3 = _P6, _IV3
     T2, T3 = chebyshev(2), chebyshev(3)
     samples = []
     shape_rows = []
@@ -343,15 +348,10 @@ def a4_melnikov(seed: int):
         )
 
     def fit(pairs):
-        const = None
-        for val, dk in pairs:
-            if dk:
-                const = val / dk
-                break
+        const = next((val / dk for val, dk in pairs if dk), None)
         if const is None:
             return None, all(not val for val, _ in pairs)
-        residuals = [val - const * dk for val, dk in pairs]
-        return const, all(not r for r in residuals)
+        return const, all(val == const * dk for val, dk in pairs)
 
     c7, clean7 = fit([(e7, d7) for e7, d7, _, _ in samples])
     c9, clean9 = fit([(e9, d8) for _, _, e9, d8 in samples])
@@ -377,25 +377,16 @@ def a4_melnikov(seed: int):
                 "int P^2 q int P q + int P q int P^2 q = m1*m2 = 0 here)"
                 % ("(%s, %s, %s)" % tuple(str(x) for x in refit))
             )
-    res_iii = CriterionResult(
-        "A4iii", "melnikov-constant-fit", True, details, findings
-    )
+    res_iii = CriterionResult("A4iii", "melnikov-constant-fit", True, details, findings)
     return [res_i, res_ii, res_iii]
 
 
 # -- A5 -----------------------------------------------------------------------------
 
 
-def _chebyshev_interval():
-    r3 = sqrtD(3)
-    half = ONE / Scalar.coerce(2)
-    return Interval(-r3 * half, r3 * half)
-
-
 def a5_zero_space(seed: int):
     rng = random.Random(seed + 5)
-    iv3 = _chebyshev_interval()
-    P6 = chebyshev(6) + Poly.one()
+    P6, iv3 = _P6, _IV3
     T2, T3 = chebyshev(2), chebyshev(3)
 
     # (a) 30 random members of the composition span kill the moments
@@ -420,9 +411,7 @@ def a5_zero_space(seed: int):
     )
 
     # (b) kernel dimension against the closed-form count
-    dims = {}
-    for dd in range(6, 13):
-        dims[dd] = len(zero_space(P6, iv3, dd, 2 * dd))
+    dims = {dd: len(zero_space(P6, iv3, dd, 2 * dd)) for dd in range(6, 13)}
     mismatch = []
     boundary = []
     for dd, got in dims.items():
@@ -454,8 +443,7 @@ def a5_zero_space(seed: int):
     )
 
     # (c) kernel equals the composition span for both benchmark polynomials
-    P10 = Poly([0, 0, 1]) * ((Poly([-1, 0, 0, 0, 1])) ** 2)  # x^2 (x^4 - 1)^2
-    iv11 = Interval(-1, 1)
+    P10, iv11 = _P10, _IV11
     bad_c = []
     for dd in range(2, 13):
         if not zero_space_matches_compositions(P6, iv3, dd, 2 * dd):
@@ -477,14 +465,12 @@ def a5_zero_space(seed: int):
 
 def a6_factors(seed: int) -> CriterionResult:
     rng = random.Random(seed + 6)
-    iv3 = _chebyshev_interval()
-    P6 = chebyshev(6) + Poly.one()
+    P6, iv3 = _P6, _IV3
     fs6 = indecomposable_factors(P6, iv3)
     rep6 = structure_report(P6, iv3)
     ok6 = fs6.s == 2 and fs6.degrees == (2, 3) and rep6.tag == "chebyshev-like"
 
-    P10 = Poly([0, 0, 1]) * ((Poly([-1, 0, 0, 0, 1])) ** 2)
-    iv11 = Interval(-1, 1)
+    P10, iv11 = _P10, _IV11
     fs10 = indecomposable_factors(P10, iv11)
     rep10 = structure_report(P10, iv11)
     want10 = (Poly([0, 0, 1]), Poly([0, -1, 0, 0, 0, 1]))
@@ -559,11 +545,9 @@ def a7_cc(seed: int) -> CriterionResult:
         iv = _rand_interval(rng)
         A = _rand_pcpoly(rng, iv, 6)
         B = _rand_pcpoly(rng, iv, 6)
-        if A.degree and B.degree and A.degree >= 1 and B.degree >= 1:
+        if A.degree >= 1 and B.degree >= 1:
             neg.append((A, B, iv))
     for A, B, iv in neg:
-        if A.is_constant() or B.is_constant():
-            continue
         fwd = cc_check(A, B, iv) is not None
         rev = cc_check(B, A, iv) is not None
         if fwd != rev:
@@ -716,7 +700,8 @@ def _u_poly(rng, iv: Interval, kind: str) -> Poly:
 
     kind "even": support {0,2,4,8} on a symmetric interval; "narrow":
     support {0,1,2,4,8} (so the polynomial itself lives in the candidate
-    space); "general": odd exponents mixed with powers of 2.
+    space); "general": odd exponents mixed with powers of 2.  The endpoint
+    conditions fix x^2 for "even" (one condition, by symmetry), else x, x^4.
     """
     if kind == "even":
         coeffs = [ZERO] * 9
@@ -726,15 +711,10 @@ def _u_poly(rng, iv: Interval, kind: str) -> Poly:
         if not any(coeffs[e] for e in (4, 8)):
             coeffs[8] = ONE
         P = Poly(coeffs)
-        # symmetric interval: one endpoint condition fixes the x^2 term
-        val = P.eval(iv.a)
-        c2 = -val / (iv.a * iv.a)
-        return P + Poly.monomial(2).scale(c2)
-    if kind == "narrow":
-        free = [2, 8]
+    elif kind == "narrow":
         coeffs = [ZERO] * 9
         coeffs[0] = _rand_scalar(rng)
-        for e in free:
+        for e in (2, 8):
             coeffs[e] = _rand_scalar(rng)
         if not coeffs[8]:
             coeffs[8] = ONE
@@ -748,19 +728,16 @@ def _u_poly(rng, iv: Interval, kind: str) -> Poly:
         if not any(coeffs[e] for e in (3, 5, 7, 9, 11, 2, 8)):
             coeffs[11] = ONE
         P = Poly(coeffs)
-    # exponents 1 and 4 carry the two endpoint conditions (both allowed)
-    a, b = iv.a, iv.b
-    det = a * (b**4) - (a**4) * b
-    va, vb = P.eval(a), P.eval(b)
-    c1 = (-va * (b**4) + vb * (a**4)) / det
-    c4 = (-vb * a + va * b) / det
-    return P + Poly.monomial(1).scale(c1) + Poly.monomial(4).scale(c4)
+    closing = (2,) if kind == "even" else (1, 4)
+    ends = (iv.a, iv.b)
+    c = solve([[t**e for e in closing] for t in ends], [-P.eval(t) for t in ends], len(closing))
+    return P + _combination(c, [Poly.monomial(e) for e in closing])
 
 
-def a10_prime_support(seed: int) -> CriterionResult:
+def _ur_samples(seed: int):
+    """A10's ten base polynomials with their intervals: four "even", three
+    "narrow" and three "general" (see _u_poly)."""
     rng = random.Random(seed + 10)
-    bad = []
-    kernel_sizes = []
     for idx in range(10):
         kind = "even" if idx < 4 else ("narrow" if idx < 7 else "general")
         if kind == "even":
@@ -768,33 +745,34 @@ def a10_prime_support(seed: int) -> CriterionResult:
             iv = Interval(-c, c)
         else:
             iv = rng.choice([Interval(1, 2), Interval(-2, -1), Interval(rational(1, 2), rational(3, 2))])
-        P = _u_poly(rng, iv, kind)
+        yield _u_poly(rng, iv, kind), iv
+
+
+def _ur_kernel(P: Poly, iv: Interval):
+    """The certified zero space of P at degree 8, cut down to the
+    polynomials supported on {0,1,2,4,8}: no x^3, x^5, x^6 or x^7 term."""
+    zs = zero_space(P, iv, 8, 16)
+    kernel = kernel_basis([[f[e] for f in zs] for e in (3, 5, 6, 7)], len(zs))
+    return [_combination(v, zs) for v in kernel]
+
+
+def a10_prime_support(seed: int) -> CriterionResult:
+    bad = []
+    kernel_sizes = []
+    for idx, (P, iv) in enumerate(_ur_samples(seed)):
         if not exponent_condition(P, {2}, "U"):
             bad.append("sample %d: base polynomial leaves the allowed support" % idx)
             continue
-        # basis of endpoint-vanishing polynomials supported on {0,1,2,4,8}
-        exps = [0, 1, 2, 4, 8]
-        endpoint = [[iv.a**e for e in exps], [iv.b**e for e in exps]]
-        monomials = [Poly.monomial(e) for e in exps]
-        qbasis = [_combination(v, monomials) for v in kernel_basis(endpoint, len(exps))]
-        # moment system restricted to that basis: the kernel of the rows
-        # i <= I_max, stable when five more rows add no rank
-        I_max = 24
-        rows = _moments_upto(P, [f.derivative() for f in qbasis], iv, I_max + 5)
-        echelon, pivots = rref(rows[: I_max + 1])
-        if rank(echelon + rows[I_max + 1 :]) > len(pivots):
+        try:
+            kernel = _ur_kernel(P, iv)
+        except KernelNotStabilizedError:
             bad.append("sample %d: moment kernel not stabilized" % idx)
             continue
-        full = echelon_kernel(echelon, pivots, len(qbasis))
-        kernel_sizes.append(len(full))
-        for v in full:
-            Q = _combination(v, qbasis)
+        kernel_sizes.append(len(kernel))
+        for Q in kernel:
             if not exponent_condition(Q, {2}, "U1"):
                 bad.append("sample %d: kernel element leaves the allowed support" % idx)
-                continue
-            if Q.is_constant():
-                continue
-            if cc_check(P, Q, iv) is None:
+            elif cc_check(P, Q, iv) is None:
                 bad.append("sample %d: kernel element without composition witness" % idx)
     passed = not bad
     details = [

@@ -11,7 +11,12 @@ output (verify_golden.json).
 import json
 from pathlib import Path
 
+import pytest
+
 from abellab import verify
+from abellab.linalg import echelon_kernel, kernel_basis, rank, rref, span_rref
+from abellab.moments import _combination, _moments_upto
+from abellab.poly import Poly
 
 SEED = 7
 GOLDEN = {
@@ -98,3 +103,31 @@ def test_a9_modified_family_linearity():
 
 def test_a10_prime_support_definiteness():
     _run(verify.a10_prime_support)
+
+
+def _restricted_moment_kernel(P, iv):
+    """The reference for A10's kernels, computed without the composition
+    span: the endpoint-vanishing polynomials supported on {0,1,2,4,8}, cut
+    down by the moment rows i <= 24, accepted only when five more rows add
+    no rank."""
+    exps = [0, 1, 2, 4, 8]
+    endpoint = [[iv.a**e for e in exps], [iv.b**e for e in exps]]
+    qbasis = [_combination(v, [Poly.monomial(e) for e in exps]) for v in kernel_basis(endpoint, len(exps))]
+    rows = _moments_upto(P, [f.derivative() for f in qbasis], iv, 24 + 5)
+    echelon, pivots = rref(rows[:25])
+    assert rank(echelon + rows[25:]) == len(pivots), "reference kernel not stabilized"
+    return [_combination(v, qbasis) for v in echelon_kernel(echelon, pivots, len(qbasis))]
+
+
+def _span(polys):
+    return span_rref([[f[i] for i in range(9)] for f in polys])
+
+
+@pytest.mark.parametrize("seed", [0, SEED, 23])
+def test_a10_kernels_equal_the_restricted_moment_kernels(seed):
+    sizes = []
+    for P, iv in verify._ur_samples(seed):
+        kernel = verify._ur_kernel(P, iv)
+        assert _span(kernel) == _span(_restricted_moment_kernel(P, iv))
+        sizes.append(len(kernel))
+    assert len(sizes) == 10 and any(sizes)

@@ -564,18 +564,43 @@ def test_non_positive_family_index_is_an_input_error(index, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, obj",
+    "command, obj, fields",
     [
-        ("factors", {"P": {"coeffs": ["1*r3", "1*r5", "1"]}, "interval": {"a": "-1", "b": "1"}}),
+        ("factors", {"P": {"coeffs": ["1*r3", "1*r5", "1"]}, "interval": {"a": "-1", "b": "1"}}, "sqrt(3) vs sqrt(5)"),
         (
             "center-table",
             {"P": {"coeffs": ["0", "-1*r3", "1"]}, "Q": {"coeffs": ["0", "1"]}, "interval": {"a": "0", "b": "1*r5"}},
+            "sqrt(3) vs sqrt(5)",
+        ),
+        # in the cases below no arithmetic of the command combines the two fields
+        (
+            "cc",
+            {"P": {"coeffs": ["0", "0", "1*r3"]}, "Q": {"coeffs": ["0", "0", "1*r2"]}, "interval": {"a": "-1", "b": "1"}},
+            "sqrt(3) vs sqrt(2)",
+        ),
+        ("trig-moment", {"P": {"cos": {"1": "1*r3"}}, "Q": {"cos": {"1": "1*r2"}}, "i": 1, "j": 1}, "sqrt(3) vs sqrt(2)"),
+        ("trig-family", {"d1": 3, "d2": 2, "p": {"1": ["1*r3", "0"]}, "q": {"1": ["1*r2", "0"]}}, "sqrt(3) vs sqrt(2)"),
+        ("trig-family", {"d1": 3, "d2": 2, "p": {"1": ["0", "1*r3"]}, "R": {"coeffs": ["0", "1*r2"]}}, "sqrt(3) vs sqrt(2)"),
+        (
+            "moments --nmax 0",
+            {
+                "P": {"coeffs": ["-1*r3", "0", "1*r3"]},
+                "Q": {"coeffs": ["-1*r2", "0", "1*r2"]},
+                "interval": {"a": "-1", "b": "1"},
+            },
+            "sqrt(3) vs sqrt(2)",
+        ),
+        (
+            "iterated",
+            {"alpha": [1], "h1": {"coeffs": ["1*r3"]}, "h2": {"coeffs": ["1*r2"]}, "interval": {"a": "0", "b": "1"}},
+            "sqrt(3) vs sqrt(2)",
         ),
     ],
+    ids=["factors-obj0", "center-table-obj1", "cc", "trig-moment", "trig-family", "trig-family-R", "moments", "iterated"],
 )
-def test_mixed_radicands_are_an_input_error(command, obj, tmp_path, capsys):
+def test_mixed_radicands_are_an_input_error(command, obj, fields, tmp_path, capsys):
     path = write(tmp_path, "mix.json", obj)
-    assert_input_error(capsys, [command, "--input", path], "field mismatch: sqrt(3) vs sqrt(5)")
+    assert_input_error(capsys, command.split() + ["--input", path], "field mismatch: " + fields)
 
 
 NOT_CLOSED = {"P": {"coeffs": ["0", "1"]}, "Q": {"coeffs": ["0", "0", "1"]}, "interval": {"a": "0", "b": "1"}}
