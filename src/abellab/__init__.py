@@ -24,7 +24,6 @@ from .decomp import (
     indecomposable_factors,
     is_chebyshev_conjugate,
     is_definite,
-    normalize_factor,
     right_factors,
     structure_report,
 )

@@ -18,10 +18,11 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PreconditionError
 from .field import ONE, ZERO, Scalar
-from .poly import Interval, PCPair, Poly, definite_integral
+from .poly import Interval, PCPair, Poly, _raw, definite_integral
 
 EPS_ON_Q = "eps_on_q"
 DELTA_ON_P = "delta_on_p"
@@ -225,17 +226,34 @@ class CenterTable:
         return min((j for _, j in self.entries), default=None)
 
 
+@lru_cache(maxsize=8)
+def _forward_map(p_key, q_key, a_key, b_key, K: int):
+    """v_2..v_K of the forward map with a parameter delta on p, each a
+    Poly in delta.
+
+    The arguments are the canonical parts of p, q and the endpoints, so a
+    lookup compares integers and never two fields.  Callers ask for the
+    tables of one pair in a row, so the few most recent inputs are kept.
+    """
+    p, q = _raw(*p_key), _raw(*q_key)
+    a, b = Scalar(*a_key), Scalar(*b_key)
+    c = _flow_coefficients([Poly.zero(), p], [q], a, K)
+    return tuple(Poly([poly.eval(b) for poly in c[k]]) for k in range(2, K + 1))
+
+
 def parametric_table(
     p: Poly, q: Poly, iv: Interval, K: int, param: str, direction: str = FORWARD
 ) -> CenterTable:
     """The stratified table of (forward or backward) map coefficients.
 
-    The recursion runs once, with a formal parameter delta on p; the
-    backward direction applies exact series reversion over the
-    polynomial-in-parameter ring.  Each c_k is weighted homogeneous of
-    weight k-1 when delta weighs 2 and a parameter on q weighs 1, and
-    reversion keeps the weight, so the table with the parameter on q is
-    the same one re-indexed: delta^t at order k is eps^(k-1-2t).
+    The recursion runs once per (p, q, interval, K), with a formal
+    parameter delta on p, and both parameters and both directions share
+    its result (see _forward_map); the backward direction applies exact
+    series reversion over the polynomial-in-parameter ring.  Each c_k is
+    weighted homogeneous of weight k-1 when delta weighs 2 and a parameter
+    on q weighs 1, and reversion keeps the weight, so the table with the
+    parameter on q is the same one re-indexed: delta^t at order k is
+    eps^(k-1-2t).
     """
     if K < 2:
         raise PreconditionError("K must be at least 2")
@@ -243,10 +261,14 @@ def parametric_table(
         raise ValueError("direction must be 'forward' or 'backward'")
     if param not in (EPS_ON_Q, DELTA_ON_P):
         raise ValueError("param must be %r or %r" % (EPS_ON_Q, DELTA_ON_P))
-    c = _flow_coefficients([Poly.zero(), p], [q], iv.a, K)
-    per_k = []
-    for k in range(2, K + 1):
-        per_k.append(Poly([poly.eval(iv.b) for poly in c[k]]))
+    a, b = iv.a, iv.b
+    per_k = _forward_map(
+        (p.num, p.irr, p.den, p.D),
+        (q.num, q.irr, q.den, q.D),
+        (a.rat, a.irr, a.D),
+        (b.rat, b.irr, b.D),
+        K,
+    )
     if direction == BACKWARD:
         per_k = _revert(per_k, Poly.zero(), Poly.one())
     entries = {}

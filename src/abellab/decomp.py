@@ -48,15 +48,6 @@ def _top_candidate(P: Poly, m: int) -> Poly:
     return Poly([ZERO] + u[:0:-1] + [ONE])
 
 
-def normalize_factor(W: Poly) -> Poly:
-    """Monic representative with zero constant term of W's class."""
-    W = W.scale(ONE / W.leading())
-    c0 = W[0]
-    if c0:
-        W = W - Poly([c0])
-    return W
-
-
 @dataclass(frozen=True)
 class FactorSet:
     """Normalized right factor classes of one polynomial, ascending by

@@ -95,13 +95,23 @@ def zero_space(P: Poly, iv: Interval, d: int, I_max: int):
     the rows have rank r = codim S their kernel is S for every larger
     block too.  Below rank r the kernel is strictly larger than S, and a
     KernelNotStabilizedError reports both dimensions.  Every moment of the
-    zero polynomial vanishes, so there r = 0.
+    zero polynomial vanishes, so there S counts as the whole space: r = 0.
     """
+    _check_bounds(d, I_max)
+    dim_S = len(composition_sum_space(P, iv, d)) if P else d - 1
+    return _certified_kernel(P, iv, d, I_max, dim_S)
+
+
+def _check_bounds(d: int, I_max: int):
     if d < 2:
         raise PreconditionError("d must be at least 2")
     if I_max < 0:
         raise PreconditionError("I_max must be nonnegative")
-    r = (d - 1) - len(composition_sum_space(P, iv, d)) if P else 0
+
+
+def _certified_kernel(P: Poly, iv: Interval, d: int, I_max: int, dim_S: int):
+    """``zero_space``'s certificate, given the dimension of the span S."""
+    r = (d - 1) - dim_S
     mm = moment_matrix(P, iv, d, I_max)
     echelon, pivots = rref(mm.M)
     n = len(mm.basis)
@@ -138,9 +148,9 @@ def composition_sum_space(P: Poly, iv: Interval, d: int):
 
 def zero_space_matches_compositions(P: Poly, iv: Interval, d: int, I_max: int) -> bool:
     """Do the moment kernel and the composition span agree exactly?"""
-    zs = zero_space(P, iv, d, I_max)
+    _check_bounds(d, I_max)
     cs = composition_sum_space(P, iv, d)
-    return zs == cs
+    return _certified_kernel(P, iv, d, I_max, len(cs)) == cs
 
 
 def chebyshev_zero_space_dim(d: int) -> int:

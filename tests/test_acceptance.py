@@ -9,6 +9,7 @@ output (verify_golden.json).
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,23 @@ def test_a9_modified_family_linearity():
 
 def test_a10_prime_support_definiteness():
     _run(verify.a10_prime_support)
+
+
+def test_a10_enumerates_each_base_s_classes_at_most_twice(monkeypatch):
+    # once for the zero-space certificate, once for the kernel's witnesses
+    from abellab import decomp, moments
+
+    calls = []
+    enumerate_classes = decomp.indecomposable_factors
+
+    def counted(P, iv):
+        calls.append(P)
+        return enumerate_classes(P, iv)
+
+    for module in (decomp, moments, verify):
+        monkeypatch.setattr(module, "indecomposable_factors", counted)
+    assert verify.a10_prime_support(SEED).passed
+    assert len(calls) <= 20 and max(Counter(calls).values()) <= 2
 
 
 def _restricted_moment_kernel(P, iv):

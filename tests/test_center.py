@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from abellab import center
 from abellab.center import (
     BACKWARD,
     DELTA_ON_P,
@@ -283,3 +285,98 @@ def test_affine_invariance_of_coefficients():
         ta, tb = (IV11.a - v) / u, (IV11.b - v) / u
         vs2 = poincare_coeffs(pullback(p), pullback(q), Interval(ta, tb), 7)
         assert vs == vs2
+
+
+# -- the shared forward map --------------------------------------------------------
+
+ALL_TABLES = [(param, d) for param in (EPS_ON_Q, DELTA_ON_P) for d in (FORWARD, BACKWARD)]
+
+
+def canonical(table):
+    """A table as plain values, comparable across fields."""
+    return table.K, table.param, table.direction, {kj: (v.rat, v.irr, v.D) for kj, v in table.entries.items()}
+
+
+def cold(p, q, iv, K, param, direction=FORWARD):
+    center._forward_map.cache_clear()
+    return canonical(parametric_table(p, q, iv, K, param, direction))
+
+
+def test_warm_tables_equal_cold_ones():
+    rng = random.Random(61)
+    center._forward_map.cache_clear()
+    for _ in range(6):
+        Pp, Q = rand_pcpair(rng, IV11, 6)
+        p, q = Pp.derivative(), Q.derivative()
+        K = rng.randint(2, 9)
+        warm = [canonical(parametric_table(p, q, IV11, K, *t)) for t in ALL_TABLES]
+        assert warm == [cold(p, q, IV11, K, *t) for t in ALL_TABLES]
+        info = center._forward_map.cache_info()
+        assert info.currsize <= info.maxsize == 8
+
+
+def test_the_cache_keeps_fields_apart():
+    r2, r3 = sqrtD(2), sqrtD(3)
+    inputs = [
+        (P(1, 2) + Poly([0, r2]), P(0, 1, 1), IV11),
+        (P(1, 2) + Poly([0, r3]), P(0, 1, 1), IV11),
+        (P(1, 2), P(0, 1, 1), IV11),
+        (P(1, 2), P(0, 1, 1), Interval(-r3, r3)),
+    ]
+    want = [cold(p, q, iv, 7, EPS_ON_Q) for p, q, iv in inputs]
+    assert all(u != v for u, v in itertools.combinations(want, 2))
+    center._forward_map.cache_clear()
+    for _ in range(2):
+        assert [canonical(parametric_table(p, q, iv, 7, EPS_ON_Q)) for p, q, iv in inputs] == want
+
+
+def test_the_cache_keeps_intervals_and_orders_apart():
+    p, q = P(1, -1, 2), P(0, 3, -1)
+    cases = [(IV11, 6), (IV11, 8), (IV01, 8), (Interval(-1, 2), 8)]
+    want = [cold(p, q, iv, K, DELTA_ON_P, BACKWARD) for iv, K in cases]
+    assert all(want[1] != w for w in want[:1] + want[2:])
+    center._forward_map.cache_clear()
+    for _ in range(2):
+        assert [canonical(parametric_table(p, q, iv, K, DELTA_ON_P, BACKWARD)) for iv, K in cases] == want
+
+
+def test_changing_a_table_leaves_the_next_one_alone():
+    center._forward_map.cache_clear()
+    p, q = P(1, -1, 2), P(0, 3, -1)
+    first = parametric_table(p, q, IV11, 8, EPS_ON_Q)
+    want = canonical(first)
+    first.entries.clear()
+    second = parametric_table(p, q, IV11, 8, EPS_ON_Q)
+    assert canonical(second) == want
+    second.entries[(2, 0)] = ONE
+    assert canonical(parametric_table(p, q, IV11, 8, EPS_ON_Q)) == want
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    center._forward_map.cache_clear()
+    calls = []
+    flow = center._flow_coefficients
+
+    def counted(p_slots, q_slots, a, K):
+        calls.append(K)
+        return flow(p_slots, q_slots, a, K)
+
+    monkeypatch.setattr(center, "_flow_coefficients", counted)
+    return calls
+
+
+def test_one_pair_runs_the_recursion_once(flow_calls):
+    p, q = P(1, -1, 2), P(0, 3, -1)
+    parametric_table(p, q, IV11, 10, EPS_ON_Q)
+    parametric_table(p, q, IV11, 10, DELTA_ON_P)
+    parametric_table(p, q, IV11, 10, EPS_ON_Q, BACKWARD)
+    assert flow_calls == [10]
+
+
+def test_a1_runs_the_recursion_once_per_pair(flow_calls, monkeypatch):
+    from abellab import verify
+
+    monkeypatch.setattr(verify, "_TABLE_CACHE", {})
+    assert verify.a1_stratification(7).passed
+    assert len(flow_calls) == 200

@@ -9,7 +9,6 @@ from abellab.decomp import (
     indecomposable_factors,
     is_chebyshev_conjugate,
     is_definite,
-    normalize_factor,
     right_factors,
     structure_report,
 )
@@ -129,13 +128,6 @@ def test_equivalence_normalization():
         beta = rational(rng.randint(-3, 3))
         composed = Pp.scale(alpha) + Poly.constant(beta)
         assert right_factors(Pp, iv).factors == right_factors(composed, iv).factors
-
-
-def test_normalize_factor():
-    W = P(5, 1, 0, 2)
-    N = normalize_factor(W)
-    assert N.leading() == ONE and not N[0]
-    assert in_subring(W, N) is not None
 
 
 def test_chebyshev_conjugacy_detector():

@@ -435,3 +435,21 @@ def test_report_computes_the_factor_classes_of_P_once(monkeypatch):
     rep = parametric_structure_report(P6, chebyshev(3), IV3, 6, 12)
     assert calls == [P6, chebyshev(3)]
     assert rep.cc is not None and not rep.P_definite and rep.Q_definite
+
+
+def test_the_comparison_computes_the_composition_span_once(monkeypatch):
+    import abellab.moments as moments
+
+    calls = []
+    span = moments.composition_sum_space
+
+    def counted(Pb, iv, d):
+        calls.append(d)
+        return span(Pb, iv, d)
+
+    monkeypatch.setattr(moments, "composition_sum_space", counted)
+    assert zero_space_matches_compositions(P6, IV3, 8, 16)
+    assert calls == [8]
+    with pytest.raises(KernelNotStabilizedError):
+        zero_space_matches_compositions(P6, IV3, 8, 1)
+    assert calls == [8, 8]
